@@ -92,8 +92,8 @@ int RunBench(int budget, uint64_t seed) {
 
   // Metrics-registry overhead point: how long it takes to fold one finished
   // campaign's telemetry into the typed registry and render the Prometheus
-  // exposition, and the per-call cost of the gated CountGlobalMetric hook.
-  // These are export-path costs — nothing here runs inside the campaign loop.
+  // exposition. This is an export-path cost — nothing here runs inside the
+  // campaign loop.
   constexpr int kRegistryReps = 200;
   const telemetry::WallTimer build_timer;
   size_t render_bytes = 0;
@@ -106,26 +106,16 @@ int RunBench(int budget, uint64_t seed) {
   }
   const double build_render_us =
       static_cast<double>(build_timer.ElapsedNs()) / 1000.0 / kRegistryReps;
-  constexpr int kHookReps = 100000;
-  const telemetry::WallTimer hook_timer;
-  for (int rep = 0; rep < kHookReps; ++rep) {
-    telemetry::CountGlobalMetric("soft_bench_hook_total", "bench probe",
-                                 {{"site", "bench"}}, 1);
-  }
-  const double hook_ns =
-      static_cast<double>(hook_timer.ElapsedNs()) / kHookReps;
-  telemetry::ResetGlobalMetricsForTest();
   std::printf("\nmetrics registry: %zu series, %zu exposition bytes, "
-              "build+render %.1f µs, CountGlobalMetric %.0f ns/call\n",
-              series_count, render_bytes, build_render_us, hook_ns);
+              "build+render %.1f µs\n",
+              series_count, render_bytes, build_render_us);
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"telemetry\",\n  \"budget\": " << budget
        << ",\n  \"seed\": " << seed
        << ",\n  \"metrics_registry\": {\n    \"series\": " << series_count
        << ",\n    \"exposition_bytes\": " << render_bytes
-       << ",\n    \"build_render_us\": " << build_render_us
-       << ",\n    \"count_global_metric_ns\": " << hook_ns << "\n  }"
+       << ",\n    \"build_render_us\": " << build_render_us << "\n  }"
        << ",\n  \"dialects\": {\n";
   for (size_t i = 0; i < results.size(); ++i) {
     json << "    \"" << dialects[i] << "\": " << results[i].telemetry.ToJson()

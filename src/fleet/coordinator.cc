@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -36,32 +35,13 @@
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/io.h"
+#include "src/util/json_string.h"
 
 namespace soft {
 namespace fleet {
 namespace {
 
 constexpr int kJournalRing = 16;  // recent journal lines kept for STATUS
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 std::string JoinOracles(const std::vector<std::string>& oracles) {
   std::string joined;
@@ -864,7 +844,11 @@ class Coordinator {
                 dialect_labels, watchdog);
     telemetry::AddTelemetryMetrics(reg, MergedTelemetry());
     telemetry::AddFailpointMetrics(reg);
-    reg.MergeFrom(telemetry::GlobalMetricsSnapshot());
+    for (const auto& [state, count] : transitions_by_state_) {
+      reg.Counter("soft_health_transitions_by_state_total",
+                  "Doctor transitions by resulting state", {{"state", state}},
+                  count);
+    }
     return reg;
   }
 
@@ -923,6 +907,7 @@ class Coordinator {
     }
     ++stats_.health_transitions;
     stats_.health = std::string(HealthStateName(verdict.state));
+    ++transitions_by_state_[stats_.health];
     stats_.health_reason = verdict.reason;
     if (verdict.state == HealthState::kStall) {
       ++stats_.health_stalls;
@@ -941,16 +926,13 @@ class Coordinator {
     telemetry::WriteHealthEvent(line, event);
     JournalEmit(line.str());
     const std::string health_line =
-        "{\"event\":\"fleet_health\",\"state\":\"" + stats_.health +
-        "\",\"reason\":\"" + EscapeJson(verdict.reason) + "\"}";
+        "{\"event\":\"fleet_health\",\"state\":" + JsonQuote(stats_.health) +
+        ",\"reason\":" + JsonQuote(verdict.reason) + "}";
     for (Conn& conn : conns_) {
       if (!conn.dead && conn.kind == Conn::Kind::kStatus && conn.watch) {
         StatusEnqueue(conn, health_line);
       }
     }
-    telemetry::CountGlobalMetric("soft_health_transitions_by_state_total",
-                                 "Doctor transitions by resulting state",
-                                 {{"state", stats_.health}}, 1);
   }
 
   void MaybeWriteMetricsSnapshot(uint64_t now, bool force) {
@@ -985,11 +967,11 @@ class Coordinator {
   std::vector<std::string> StatusLines() {
     std::vector<std::string> lines;
     lines.push_back(
-        "{\"event\":\"fleet_status\",\"dialect\":\"" + EscapeJson(dialect_) +
-        "\",\"bound\":\"" + EscapeJson(stats_.bound_address) +
-        "\",\"health\":\"" + EscapeJson(stats_.health) +
-        "\",\"health_reason\":\"" + EscapeJson(stats_.health_reason) +
-        "\",\"units\":" + std::to_string(units_) +
+        "{\"event\":\"fleet_status\",\"dialect\":" + JsonQuote(dialect_) +
+        ",\"bound\":" + JsonQuote(stats_.bound_address) +
+        ",\"health\":" + JsonQuote(stats_.health) +
+        ",\"health_reason\":" + JsonQuote(stats_.health_reason) +
+        ",\"units\":" + std::to_string(units_) +
         ",\"pending\":" + std::to_string(table_->pending()) +
         ",\"leased\":" + std::to_string(table_->leased()) +
         ",\"done\":" + std::to_string(table_->done()) +
@@ -1013,8 +995,8 @@ class Coordinator {
       }
       lines.push_back(
           "{\"event\":\"fleet_worker\",\"worker\":" + std::to_string(session.worker) +
-          ",\"session\":\"" + EscapeJson(token) +
-          "\",\"pid\":" + std::to_string(session.pid) +
+          ",\"session\":" + JsonQuote(token) +
+          ",\"pid\":" + std::to_string(session.pid) +
           ",\"connected\":" + (FindConn(session.conn) != nullptr ? "true" : "false") +
           ",\"units_completed\":" + std::to_string(session.units_completed) +
           ",\"collecting\":" + std::to_string(session.collecting_unit) + "}");
@@ -1053,8 +1035,8 @@ class Coordinator {
     }
     for (const auto& [pattern, counters] : patterns) {
       lines.push_back(
-          "{\"event\":\"fleet_pattern\",\"pattern\":\"" + EscapeJson(pattern) +
-          "\",\"executed\":" + std::to_string(counters.executed) +
+          "{\"event\":\"fleet_pattern\",\"pattern\":" + JsonQuote(pattern) +
+          ",\"executed\":" + std::to_string(counters.executed) +
           ",\"crashes\":" + std::to_string(counters.crashes) +
           ",\"bugs_deduped\":" + std::to_string(counters.bugs_deduped) +
           ",\"logic_checks\":" + std::to_string(counters.logic_checks) +
@@ -1065,8 +1047,8 @@ class Coordinator {
       while (!stripped.empty() && stripped.back() == '\n') {
         stripped.pop_back();
       }
-      lines.push_back("{\"event\":\"fleet_recent\",\"line\":\"" +
-                      EscapeJson(stripped) + "\"}");
+      lines.push_back("{\"event\":\"fleet_recent\",\"line\":" +
+                      JsonQuote(stripped) + "}");
     }
     return lines;
   }
@@ -1184,6 +1166,7 @@ class Coordinator {
   uint64_t statements_merged_ = 0;  // cumulative, updated at unit commit
   uint64_t bugs_merged_ = 0;
   bool stall_unacked_ = false;      // set on stall, cleared by worker commits
+  std::map<std::string, uint64_t> transitions_by_state_;  // doctor target state
   uint64_t next_metrics_ns_ = 0;    // next --metrics-out snapshot due
   std::vector<std::optional<ShardResult>> results_;
   std::vector<Conn> conns_;

@@ -1,35 +1,9 @@
 #include "src/soft/resume.h"
 
-#include <utility>
-
 #include "src/dialects/dialects.h"
 #include "src/telemetry/journal.h"
 
 namespace soft {
-
-std::string DescribeCheckpointDivergence(const CampaignCheckpoint& journal,
-                                         const CampaignCheckpoint& replayed) {
-  std::string out;
-  const auto field = [&out](const char* name, auto journal_value, auto replay_value) {
-    if (journal_value == replay_value) {
-      return;
-    }
-    if (!out.empty()) {
-      out += "; ";
-    }
-    out += std::string(name) + " journal=" + std::to_string(journal_value) +
-           " replay=" + std::to_string(replay_value);
-  };
-  field("cases_completed", journal.cases_completed, replayed.cases_completed);
-  field("sql_errors", journal.sql_errors, replayed.sql_errors);
-  field("crashes_observed", journal.crashes_observed, replayed.crashes_observed);
-  field("false_positives", journal.false_positives, replayed.false_positives);
-  field("watchdog_timeouts", journal.watchdog_timeouts, replayed.watchdog_timeouts);
-  field("unique_bugs", journal.unique_bugs, replayed.unique_bugs);
-  field("rng_fingerprint", journal.rng_fingerprint, replayed.rng_fingerprint);
-  field("dedup_digest", journal.dedup_digest, replayed.dedup_digest);
-  return out.empty() ? "no field differs" : out;
-}
 
 Result<ResumeSpec> LoadResumeSpec(const std::string& journal_path) {
   SOFT_ASSIGN_OR_RETURN(telemetry::JournalReplay replay,
@@ -100,7 +74,7 @@ Result<CampaignResult> ResumeSoftCampaign(const ResumeSpec& spec,
         "resume verification failed: replay diverged from the journal's last "
         "checkpoint at " +
         std::to_string(spec.last_checkpoint.cases_completed) + " cases — " +
-        DescribeCheckpointDivergence(spec.last_checkpoint, replayed) +
+        telemetry::DescribeCheckpointDivergence(spec.last_checkpoint, replayed) +
         " (journal corrupt, or campaign knobs differ from the "
         "interrupted run)");
   }

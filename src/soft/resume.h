@@ -41,15 +41,6 @@ struct ResumeSpec {
 // is defined for single-shard campaigns only).
 Result<ResumeSpec> LoadResumeSpec(const std::string& journal_path);
 
-// Names every checkpoint field on which `replayed` differs from `journal`,
-// with both values ("rng_fingerprint journal=… replay=…; dedup_digest …").
-// Feeds the divergence error below so an operator can tell a corrupted
-// journal (digest off) from mismatched campaign knobs (counters off) without
-// diffing checkpoints by hand. "no field differs" only when the structs are
-// equal — the caller then has a logic error, not a divergence.
-std::string DescribeCheckpointDivergence(const CampaignCheckpoint& journal,
-                                         const CampaignCheckpoint& replayed);
-
 // Re-runs the SOFT campaign described by `spec` deterministically and
 // verifies the replay against the journal's last checkpoint as described
 // above. `base_options` contributes the knobs the journal does not record

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/util/json_string.h"
+
 namespace soft {
 
 JsonPtr JsonValue::MakeNull() {
@@ -70,38 +72,6 @@ int JsonValue::Depth() const {
 }
 
 namespace {
-
-void EscapeJsonString(const std::string& s, std::string& out) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 void SerializeTo(const JsonValue& v, std::string& out) {
   switch (v.kind()) {
@@ -217,7 +187,7 @@ class JsonParser {
       case '[':
         return ParseArray(depth);
       case '"': {
-        SOFT_ASSIGN_OR_RETURN(std::string s, ParseString());
+        SOFT_ASSIGN_OR_RETURN(std::string s, DecodeJsonString(text_, pos_));
         return JsonValue::MakeString(std::move(s));
       }
       case 't':
@@ -275,7 +245,7 @@ class JsonParser {
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return InvalidArgument("expected string key in JSON object");
       }
-      SOFT_ASSIGN_OR_RETURN(std::string key, ParseString());
+      SOFT_ASSIGN_OR_RETURN(std::string key, DecodeJsonString(text_, pos_));
       SkipWhitespace();
       if (!Consume(':')) {
         return InvalidArgument("expected ':' in JSON object");
@@ -290,78 +260,6 @@ class JsonParser {
         return InvalidArgument("expected ',' or '}' in JSON object");
       }
     }
-  }
-
-  Result<std::string> ParseString() {
-    ++pos_;  // consume '"'
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          break;
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return InvalidArgument("truncated \\u escape in JSON string");
-            }
-            unsigned code = 0;
-            auto [p, ec] = std::from_chars(text_.data() + pos_, text_.data() + pos_ + 4,
-                                           code, 16);
-            if (ec != std::errc() || p != text_.data() + pos_ + 4) {
-              return InvalidArgument("malformed \\u escape in JSON string");
-            }
-            pos_ += 4;
-            // Encode as UTF-8 (BMP only; surrogates passed through raw).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return InvalidArgument("invalid escape in JSON string");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return InvalidArgument("unterminated JSON string");
   }
 
   Result<JsonPtr> ParseNumber() {

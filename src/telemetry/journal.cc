@@ -5,19 +5,25 @@
 #include "src/telemetry/journal.h"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/failpoint/failpoint.h"
 #include "src/telemetry/telemetry.h"
 #include "src/util/io.h"
+#include "src/util/json_string.h"
 
 namespace soft {
 namespace telemetry {
@@ -30,45 +36,6 @@ uint64_t MonotonicNowNs() {
 }
 
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string FormatMs(uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1e6);
-  return buf;
-}
 
 void AppendHistogramJson(std::string& out, const LatencyHistogram& h) {
   out += "{\"samples\":" + std::to_string(h.samples);
@@ -84,174 +51,444 @@ void AppendHistogramJson(std::string& out, const LatencyHistogram& h) {
   out += "]}";
 }
 
-// --- Minimal parser for the journal's own flat JSON lines -----------------
+// --- Journal lines ---------------------------------------------------------
 //
-// Handles exactly what WriteCampaignJournal emits: one flat object per line,
-// string values with \-escapes, integer/double number values. Not a general
-// JSON parser.
+// Every event kind has one field table below: a generic lambda that lists
+// the event's keys once, in wire order, as io("key", record.member, spec)
+// calls. FieldWriter runs a table to append "key":value pairs; FieldReader
+// runs the same table to look each key up in a parsed line and decode it.
 
-// Locates the value of `key` in `line` starting after the "key": prefix.
-// Returns npos when absent.
-size_t ValueStart(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) {
-    return std::string::npos;
-  }
-  size_t pos = at + needle.size();
-  while (pos < line.size() && line[pos] == ' ') {
-    ++pos;
-  }
-  return pos;
-}
+// How one field is encoded beyond what its C++ type says.
+struct FieldSpec {
+  bool optional = false;  // replay accepts lines without it (older journals)
+  bool digit = false;     // a bool written as 1/0 rather than true/false
+  int decimals = 3;       // fixed-point digits a double is written with
+};
 
-bool ExtractString(const std::string& line, const std::string& key, std::string& out) {
-  size_t pos = ValueStart(line, key);
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '"') {
-    return false;
+class FieldWriter {
+ public:
+  FieldWriter() : line_("{") {}
+  explicit FieldWriter(std::string_view event) : line_("{\"event\":"), first_(false) {
+    EscapeJsonString(event, line_);
   }
-  ++pos;
-  out.clear();
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\' && pos + 1 < line.size()) {
-      ++pos;
-      switch (line[pos]) {
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        default:
-          out += line[pos];
+
+  void operator()(std::string_view key, const std::string& value, FieldSpec = {}) {
+    Key(key);
+    EscapeJsonString(value, line_);
+  }
+  void operator()(std::string_view key, bool value, FieldSpec spec = {}) {
+    Key(key);
+    line_ += spec.digit ? (value ? "1" : "0") : (value ? "true" : "false");
+  }
+  template <std::integral T>
+  void operator()(std::string_view key, T value, FieldSpec = {}) {
+    Key(key);
+    line_ += std::to_string(value);
+  }
+  void operator()(std::string_view key, double value, FieldSpec spec = {}) {
+    // Fits %f of any finite double: sign, 309 integer digits, '.', decimals.
+    char buf[330];
+    std::snprintf(buf, sizeof(buf), "%.*f", spec.decimals, value);
+    Key(key);
+    line_ += buf;
+  }
+  // An array of flat objects, each written by `fields`.
+  template <class T, class Fields>
+  void operator()(std::string_view key, const std::vector<T>& items, Fields fields) {
+    Key(key);
+    line_ += '[';
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (i != 0) {
+        line_ += ',';
       }
-    } else {
-      out += line[pos];
+      FieldWriter item;
+      fields(item, items[i]);
+      line_ += item.line_;
+      line_ += '}';
     }
-    ++pos;
+    line_ += ']';
   }
-  return pos < line.size();
-}
 
-bool ExtractNumberToken(const std::string& line, const std::string& key,
-                        std::string& out) {
-  const size_t pos = ValueStart(line, key);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') {
-    ++end;
-  }
-  out = line.substr(pos, end - pos);
-  return !out.empty();
-}
+  std::string Line() && { return std::move(line_) + "}\n"; }
 
-bool ExtractInt(const std::string& line, const std::string& key, int64_t& out) {
-  std::string token;
-  if (!ExtractNumberToken(line, key, token)) {
-    return false;
-  }
-  out = std::strtoll(token.c_str(), nullptr, 10);
-  return true;
-}
-
-bool ExtractUint(const std::string& line, const std::string& key, uint64_t& out) {
-  std::string token;
-  if (!ExtractNumberToken(line, key, token)) {
-    return false;
-  }
-  out = std::strtoull(token.c_str(), nullptr, 10);
-  return true;
-}
-
-bool ExtractDouble(const std::string& line, const std::string& key, double& out) {
-  std::string token;
-  if (!ExtractNumberToken(line, key, token)) {
-    return false;
-  }
-  out = std::strtod(token.c_str(), nullptr);
-  return true;
-}
-
-bool ExtractBool(const std::string& line, const std::string& key, bool& out) {
-  std::string token;
-  if (!ExtractNumberToken(line, key, token)) {
-    return false;
-  }
-  out = (token == "true" || token == "1");
-  return true;
-}
-
-// Parses the crash_flight event's "entries":[{...},...] array — the one
-// place the journal nests objects, so the flat extractors cannot be applied
-// to the whole line. Each entry object is located with a string-aware brace
-// scan (the sql text may contain braces), then field-extracted flat.
-bool ParseFlightEntries(const std::string& line,
-                        std::vector<trace::FlightEntry>& out) {
-  const std::string needle = "\"entries\":[";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  size_t pos = at + needle.size();
-  while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ',' || line[pos] == ' ')) {
-      ++pos;
+ private:
+  void Key(std::string_view key) {
+    if (!first_) {
+      line_ += ',';
     }
-    if (pos >= line.size()) {
+    first_ = false;
+    EscapeJsonString(key, line_);
+    line_ += ':';
+  }
+
+  std::string line_;
+  bool first_ = true;
+};
+
+// One journal line's top-level fields. Strings are decoded through the
+// shared codec; numbers and literals keep their token text, so a 64-bit
+// digest never passes through a double. The only nesting the journal writes
+// is crash_flight's "entries": an array of flat objects.
+struct JsonObject;
+struct JsonField {
+  enum Kind { kString, kToken, kArray };
+  std::string key;
+  Kind kind = kToken;
+  std::string text;               // the decoded string or the raw token
+  std::vector<JsonObject> items;  // kArray
+};
+struct JsonObject {
+  std::vector<JsonField> fields;
+
+  const JsonField* Find(std::string_view key) const {
+    for (const JsonField& field : fields) {
+      if (field.key == key) {
+        return &field;
+      }
+    }
+    return nullptr;
+  }
+};
+
+// Reads one line as a JSON object whose values are strings, number or
+// literal tokens, or (at the top level only) arrays of such flat objects.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : text_(text) {}
+
+  bool Read(JsonObject& out) {
+    const bool ok = Object(out, /*top_level=*/true);
+    SkipSpace();
+    return ok && pos_ == text_.size();
+  }
+
+ private:
+  bool Object(JsonObject& out, bool top_level) {
+    if (!Consume('{')) {
       return false;
     }
-    if (line[pos] == ']') {
+    if (Consume('}')) {
       return true;
     }
-    if (line[pos] != '{') {
-      return false;
-    }
-    size_t end = pos;
-    int depth = 0;
-    bool in_string = false;
-    for (; end < line.size(); ++end) {
-      const char c = line[end];
-      if (in_string) {
-        if (c == '\\') {
-          ++end;
-        } else if (c == '"') {
-          in_string = false;
-        }
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) {
-          ++end;
-          break;
-        }
+    do {
+      JsonField field;
+      if (!String(field.key) || !Consume(':') || !Value(field, top_level)) {
+        return false;
       }
-    }
-    if (depth != 0) {
-      return false;
-    }
-    const std::string obj = line.substr(pos, end - pos);
-    trace::FlightEntry entry;
-    int64_t index = 0;
-    if (!ExtractInt(obj, "index", index) ||
-        !ExtractString(obj, "pattern", entry.pattern) ||
-        !ExtractString(obj, "stage", entry.stage_reached) ||
-        !ExtractString(obj, "outcome", entry.outcome) ||
-        !ExtractString(obj, "sql", entry.sql)) {
-      return false;
-    }
-    entry.statement_index = static_cast<int>(index);
-    out.push_back(std::move(entry));
-    pos = end;
+      out.fields.push_back(std::move(field));
+    } while (Consume(','));
+    return Consume('}');
   }
-  return false;  // unterminated array
+
+  bool Value(JsonField& field, bool top_level) {
+    SkipSpace();
+    if (pos_ < text_.size() && text_[pos_] == '"') {
+      field.kind = JsonField::kString;
+      return String(field.text);
+    }
+    if (Consume('[')) {
+      field.kind = JsonField::kArray;
+      if (!top_level || Consume(']')) {
+        return top_level;
+      }
+      do {
+        field.items.emplace_back();
+        if (!Object(field.items.back(), /*top_level=*/false)) {
+          return false;
+        }
+      } while (Consume(','));
+      return Consume(']');
+    }
+    const size_t start = pos_;
+    while (pos_ < text_.size() &&
+           (std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0 ||
+            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.')) {
+      ++pos_;
+    }
+    field.text = std::string(text_.substr(start, pos_ - start));
+    return pos_ > start;
+  }
+
+  bool String(std::string& out) {
+    SkipSpace();
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
+      return false;
+    }
+    Result<std::string> decoded = DecodeJsonString(text_, pos_);
+    if (decoded.ok()) {
+      out = std::move(decoded).value();
+    }
+    return decoded.ok();
+  }
+
+  // Skips whitespace, then consumes `c` if it is next.
+  bool Consume(char c) {
+    SkipSpace();
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  void SkipSpace() {
+    while (pos_ < text_.size() &&
+           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+      ++pos_;
+    }
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+class FieldReader {
+ public:
+  explicit FieldReader(const JsonObject& object) : object_(object) {}
+
+  bool ok() const { return ok_; }
+
+  void operator()(std::string_view key, std::string& value, FieldSpec spec = {}) {
+    if (const JsonField* field = Find(key, spec, JsonField::kString)) {
+      value = field->text;
+    }
+  }
+  void operator()(std::string_view key, bool& value, FieldSpec spec = {}) {
+    if (const JsonField* field = Find(key, spec, JsonField::kToken)) {
+      int64_t number = 0;
+      value = field->text == "true" ||
+              (field->text != "false" && ParseNumber(field->text, number) && number != 0);
+    }
+  }
+  template <class T>
+    requires(std::integral<T> || std::floating_point<T>)
+  void operator()(std::string_view key, T& value, FieldSpec spec = {}) {
+    if (const JsonField* field = Find(key, spec, JsonField::kToken)) {
+      ParseNumber(field->text, value);
+    }
+  }
+  template <class T, class Fields>
+  void operator()(std::string_view key, std::vector<T>& items, Fields fields) {
+    const JsonField* field = Find(key, FieldSpec(), JsonField::kArray);
+    for (size_t i = 0; field != nullptr && ok_ && i < field->items.size(); ++i) {
+      FieldReader item_reader(field->items[i]);
+      T item;
+      fields(item_reader, item);
+      ok_ = item_reader.ok();
+      items.push_back(std::move(item));
+    }
+  }
+
+ private:
+  // The field under `key`, or nullptr when it is absent (an error unless
+  // optional) or of the wrong kind (always an error).
+  const JsonField* Find(std::string_view key, FieldSpec spec, JsonField::Kind kind) {
+    const JsonField* field = object_.Find(key);
+    if (field == nullptr) {
+      ok_ = ok_ && spec.optional;
+      return nullptr;
+    }
+    if (field->kind != kind) {
+      ok_ = false;
+      return nullptr;
+    }
+    return field;
+  }
+
+  template <class T>
+  bool ParseNumber(const std::string& token, T& value) {
+    const char* end = token.data() + token.size();
+    const auto [parsed_end, ec] = std::from_chars(token.data(), end, value);
+    const bool parsed = ec == std::errc() && parsed_end == end;
+    ok_ = ok_ && parsed;
+    return parsed;
+  }
+
+  const JsonObject& object_;
+  bool ok_ = true;
+};
+
+template <class Record, class Fields>
+std::string Encode(std::string_view event, const Record& record, Fields fields) {
+  FieldWriter writer(event);
+  fields(writer, record);
+  return std::move(writer).Line();
 }
+
+template <class Record, class Fields>
+bool Decode(const JsonObject& object, Record& record, Fields fields) {
+  FieldReader reader(object);
+  fields(reader, record);
+  return reader.ok();
+}
+
+template <class Record, class Fields>
+bool Append(const JsonObject& object, std::vector<Record>& records, Fields fields) {
+  Record record;
+  if (!Decode(object, record, fields)) {
+    return false;
+  }
+  records.push_back(std::move(record));
+  return true;
+}
+
+// --- The field table of every event ----------------------------------------
+
+constexpr auto kStartFields = [](auto& io, auto& r) {  // r: JournalReplay
+  io("tool", r.tool);
+  io("dialect", r.dialect);
+  io("seed", r.seed);
+  io("budget", r.budget);
+  io("shards", r.shards);
+};
+
+constexpr auto kCheckpointFields = [](auto& io, auto& r) {  // r: CampaignCheckpoint
+  io("every", r.every);
+  io("shard", r.shard);
+  io("cases_completed", r.cases_completed);
+  io("sql_errors", r.sql_errors);
+  io("crashes_observed", r.crashes_observed);
+  io("false_positives", r.false_positives);
+  io("watchdog_timeouts", r.watchdog_timeouts);
+  io("unique_bugs", r.unique_bugs);
+  io("rng_fingerprint", r.rng_fingerprint);
+  io("dedup_digest", r.dedup_digest);
+};
+
+constexpr auto kResumeFields = [](auto& io, auto& from_cases) {  // an int
+  io("from_cases", from_cases);
+};
+
+constexpr auto kChaosFields = [](auto& io, auto& spec) {  // a std::string
+  io("spec", spec);
+};
+
+struct ShardMerge {
+  size_t shard = 0;
+  int statements = 0;
+};
+constexpr auto kShardMergeFields = [](auto& io, auto& r) {  // r: ShardMerge
+  io("shard", r.shard, {.optional = true});  // replay keeps line order instead
+  io("statements", r.statements);
+};
+
+constexpr auto kWitnessFields = [](auto& io, auto& r) {  // r: JournalWitness
+  io("bug_id", r.bug_id);
+  io("pattern", r.pattern);
+  io("statement_index", r.statement_index);
+  io("shard", r.shard);
+  io("wall_ms", r.wall_ms);
+  io("recorded", r.recorded, {.optional = true});
+};
+
+constexpr auto kLogicBugFields = [](auto& io, auto& r) {  // r: JournalLogicBug
+  io("bug_id", r.bug_id);
+  io("oracle", r.oracle);
+  io("function", r.function);
+  io("effect", r.effect);
+  io("scope", r.scope);
+  io("case_index", r.case_index);
+  io("statement_index", r.statement_index);
+  io("shard", r.shard);
+  io("poc", r.poc);
+  io("witness", r.witness);
+};
+
+constexpr auto kFlightEntryFields = [](auto& io, auto& r) {  // r: trace::FlightEntry
+  io("index", r.statement_index);
+  io("pattern", r.pattern);
+  io("stage", r.stage_reached);
+  io("outcome", r.outcome);
+  io("sql", r.sql);
+};
+
+constexpr auto kCrashFlightFields = [](auto& io, auto& r) {  // r: CrashFlightRecord
+  io("shard", r.shard);
+  io("worker_run", r.worker_run);
+  io("announced", r.announced);
+  io("bug_id", r.bug_id);
+  io("last_checkpoint_cases", r.last_checkpoint_cases);
+  io("entries", r.entries, kFlightEntryFields);
+};
+
+constexpr auto kLeaseFields = [](auto& io, auto& r) {  // r: JournalLeaseEvent
+  io("action", r.action);
+  io("unit", r.unit);
+  io("worker", r.worker);
+  io("cases", r.cases);
+  io("unit_digest", r.unit_digest);
+};
+
+constexpr auto kWorkerDeathFields = [](auto& io, auto& r) {  // r: JournalWorkerDeath
+  io("worker", r.worker);
+  io("pid", r.pid);
+  io("units_completed", r.units_completed);
+  io("reason", r.reason);
+};
+
+constexpr auto kFleetFinishFields = [](auto& io, auto& r) {  // r: JournalFleetFinish
+  io("units", r.units);
+  io("workers_spawned", r.workers_spawned);
+  io("worker_deaths", r.worker_deaths);
+  io("leases_granted", r.leases_granted);
+  io("leases_reclaimed", r.leases_reclaimed);
+  io("leases_stolen", r.leases_stolen);
+  io("heartbeats", r.heartbeats);
+  io("units_completed", r.units_completed);
+  io("units_run_locally", r.units_run_locally);
+  io("units_resumed", r.units_resumed);
+  io("units_spool_diverged", r.units_spool_diverged);
+  io("degraded_to_local", r.degraded_to_local, {.digit = true});
+};
+
+// The event name carries the kind ("net_" + kind); these are the body.
+constexpr auto kNetFields = [](auto& io, auto& r) {  // r: JournalNetEvent
+  io("detail", r.detail);
+  io("session", r.session);
+  io("worker", r.worker);
+  io("unit", r.unit);
+};
+
+constexpr auto kHealthFields = [](auto& io, auto& r) {  // r: JournalHealthEvent
+  io("state", r.state);
+  io("reason", r.reason);
+  io("statements_per_s", r.statements_per_s, {.decimals = 6});
+  io("units_per_s", r.units_per_s, {.decimals = 6});
+  io("bugs_per_s", r.bugs_per_s, {.decimals = 6});
+  io("reclaims_per_s", r.reclaims_per_s, {.decimals = 6});
+  io("redeliveries_per_s", r.redeliveries_per_s, {.decimals = 6});
+  io("wall_ms", r.wall_ms, {.decimals = 6});
+};
+
+constexpr auto kMetricsSnapshotFields = [](auto& io, auto& r) {  // r: JournalMetricsSnapshot
+  io("series", r.series);
+  io("statements", r.statements);
+  io("units_done", r.units_done);
+  io("health", r.health);
+  io("wall_ms", r.wall_ms, {.decimals = 6});
+};
+
+// Replay has only ever required statements, coverage and wall_ms; the other
+// totals stay optional so journals from before the watchdog, sink
+// degradation or the logic oracles still replay.
+constexpr auto kFinishFields = [](auto& io, auto& r) {  // r: JournalReplay
+  io("statements", r.statements_executed);
+  io("sql_errors", r.sql_errors, {.optional = true});
+  io("crashes_observed", r.crashes_observed, {.optional = true});
+  io("false_positives", r.false_positives, {.optional = true});
+  io("watchdog_timeouts", r.watchdog_timeouts, {.optional = true});
+  io("unique_bugs", r.unique_bug_count, {.optional = true});
+  io("logic_checks", r.logic_checks, {.optional = true});
+  io("logic_divergences", r.logic_divergences, {.optional = true});
+  io("logic_false_positives", r.logic_false_positives, {.optional = true});
+  io("logic_bugs", r.logic_bug_count, {.optional = true});
+  io("functions_triggered", r.functions_triggered);
+  io("branches_covered", r.branches_covered);
+  io("journal_degraded", r.journal_degraded, {.optional = true, .digit = true});
+  io("wall_ms", r.wall_ms);
+};
+
+double NsToMs(uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 }  // namespace
 
@@ -273,7 +510,8 @@ std::string CampaignTelemetry::ToJson() const {
       out += ',';
     }
     first = false;
-    out += "\"" + EscapeJson(pattern) + "\":{";
+    EscapeJsonString(pattern, out);
+    out += ":{";
     out += "\"generated\":" + std::to_string(counters.generated);
     out += ",\"executed\":" + std::to_string(counters.executed);
     out += ",\"crashes\":" + std::to_string(counters.crashes);
@@ -292,10 +530,13 @@ std::string CampaignTelemetry::ToJson() const {
 void WriteCampaignStart(std::ostream& out, const CampaignOptions& options,
                         const std::string& tool, const std::string& dialect,
                         int shards) {
-  out << "{\"event\":\"campaign_start\",\"tool\":\"" << EscapeJson(tool)
-      << "\",\"dialect\":\"" << EscapeJson(dialect)
-      << "\",\"seed\":" << options.seed << ",\"budget\":" << options.max_statements
-      << ",\"shards\":" << shards << "}\n";
+  JournalReplay start;
+  start.tool = tool;
+  start.dialect = dialect;
+  start.seed = options.seed;
+  start.budget = options.max_statements;
+  start.shards = shards;
+  out << Encode("campaign_start", start, kStartFields);
 }
 
 void WriteCheckpointRecord(std::ostream& out, const CampaignCheckpoint& checkpoint) {
@@ -306,149 +547,107 @@ void WriteCheckpointRecord(std::ostream& out, const CampaignCheckpoint& checkpoi
     out.setstate(std::ios_base::badbit);
     return;
   }
-  out << "{\"event\":\"checkpoint\",\"every\":" << checkpoint.every
-      << ",\"shard\":" << checkpoint.shard
-      << ",\"cases_completed\":" << checkpoint.cases_completed
-      << ",\"sql_errors\":" << checkpoint.sql_errors
-      << ",\"crashes_observed\":" << checkpoint.crashes_observed
-      << ",\"false_positives\":" << checkpoint.false_positives
-      << ",\"watchdog_timeouts\":" << checkpoint.watchdog_timeouts
-      << ",\"unique_bugs\":" << checkpoint.unique_bugs
-      << ",\"rng_fingerprint\":" << checkpoint.rng_fingerprint
-      << ",\"dedup_digest\":" << checkpoint.dedup_digest << "}\n";
+  out << Encode("checkpoint", checkpoint, kCheckpointFields);
+}
+
+std::string DescribeCheckpointDivergence(const CampaignCheckpoint& journal,
+                                         const CampaignCheckpoint& replayed) {
+  JsonObject a;
+  JsonObject b;
+  LineReader(Encode("checkpoint", journal, kCheckpointFields)).Read(a);
+  LineReader(Encode("checkpoint", replayed, kCheckpointFields)).Read(b);
+  std::string out;
+  for (size_t i = 0; i < a.fields.size(); ++i) {
+    if (a.fields[i].text != b.fields[i].text) {
+      out += (out.empty() ? "" : "; ") + a.fields[i].key + " journal=" + a.fields[i].text +
+             " replay=" + b.fields[i].text;
+    }
+  }
+  return out.empty() ? "no field differs" : out;
 }
 
 void WriteResumeMarker(std::ostream& out, int from_cases) {
-  out << "{\"event\":\"campaign_resume\",\"from_cases\":" << from_cases << "}\n";
+  out << Encode("campaign_resume", from_cases, kResumeFields);
 }
 
 void WriteChaosMarker(std::ostream& out, const std::string& spec) {
-  out << "{\"event\":\"chaos\",\"spec\":\"" << EscapeJson(spec) << "\"}\n";
+  out << Encode("chaos", spec, kChaosFields);
 }
 
 void WriteLeaseEvent(std::ostream& out, const JournalLeaseEvent& event) {
-  out << "{\"event\":\"lease\",\"action\":\"" << EscapeJson(event.action)
-      << "\",\"unit\":" << event.unit << ",\"worker\":" << event.worker
-      << ",\"cases\":" << event.cases << ",\"unit_digest\":" << event.unit_digest
-      << "}\n";
+  out << Encode("lease", event, kLeaseFields);
 }
 
 void WriteWorkerDeathEvent(std::ostream& out, const JournalWorkerDeath& event) {
-  out << "{\"event\":\"worker_death\",\"worker\":" << event.worker
-      << ",\"pid\":" << event.pid
-      << ",\"units_completed\":" << event.units_completed << ",\"reason\":\""
-      << EscapeJson(event.reason) << "\"}\n";
+  out << Encode("worker_death", event, kWorkerDeathFields);
 }
 
 void WriteFleetFinishEvent(std::ostream& out, const JournalFleetFinish& event) {
-  out << "{\"event\":\"fleet_finish\",\"units\":" << event.units
-      << ",\"workers_spawned\":" << event.workers_spawned
-      << ",\"worker_deaths\":" << event.worker_deaths
-      << ",\"leases_granted\":" << event.leases_granted
-      << ",\"leases_reclaimed\":" << event.leases_reclaimed
-      << ",\"leases_stolen\":" << event.leases_stolen
-      << ",\"heartbeats\":" << event.heartbeats
-      << ",\"units_completed\":" << event.units_completed
-      << ",\"units_run_locally\":" << event.units_run_locally
-      << ",\"units_resumed\":" << event.units_resumed
-      << ",\"units_spool_diverged\":" << event.units_spool_diverged
-      << ",\"degraded_to_local\":" << (event.degraded_to_local ? 1 : 0) << "}\n";
+  out << Encode("fleet_finish", event, kFleetFinishFields);
 }
 
 void WriteNetEvent(std::ostream& out, const JournalNetEvent& event) {
-  out << "{\"event\":\"net_" << EscapeJson(event.kind) << "\",\"detail\":\""
-      << EscapeJson(event.detail) << "\",\"session\":\"" << EscapeJson(event.session)
-      << "\",\"worker\":" << event.worker << ",\"unit\":" << event.unit << "}\n";
+  out << Encode("net_" + event.kind, event, kNetFields);
 }
-
-namespace {
-std::string FormatRate(double per_s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", per_s);
-  return buf;
-}
-}  // namespace
 
 void WriteHealthEvent(std::ostream& out, const JournalHealthEvent& event) {
-  out << "{\"event\":\"health\",\"state\":\"" << EscapeJson(event.state)
-      << "\",\"reason\":\"" << EscapeJson(event.reason)
-      << "\",\"statements_per_s\":" << FormatRate(event.statements_per_s)
-      << ",\"units_per_s\":" << FormatRate(event.units_per_s)
-      << ",\"bugs_per_s\":" << FormatRate(event.bugs_per_s)
-      << ",\"reclaims_per_s\":" << FormatRate(event.reclaims_per_s)
-      << ",\"redeliveries_per_s\":" << FormatRate(event.redeliveries_per_s)
-      << ",\"wall_ms\":" << FormatRate(event.wall_ms) << "}\n";
+  out << Encode("health", event, kHealthFields);
 }
 
 void WriteMetricsSnapshotEvent(std::ostream& out,
                                const JournalMetricsSnapshot& event) {
-  out << "{\"event\":\"metrics_snapshot\",\"series\":" << event.series
-      << ",\"statements\":" << event.statements
-      << ",\"units_done\":" << event.units_done << ",\"health\":\""
-      << EscapeJson(event.health) << "\",\"wall_ms\":"
-      << FormatRate(event.wall_ms) << "}\n";
+  out << Encode("metrics_snapshot", event, kMetricsSnapshotFields);
 }
 
 void WriteCampaignTail(std::ostream& out, const CampaignResult& result,
                        uint64_t wall_ns) {
   for (size_t i = 0; i < result.shard_statements.size(); ++i) {
-    out << "{\"event\":\"shard_merge\",\"shard\":" << i
-        << ",\"statements\":" << result.shard_statements[i] << "}\n";
+    out << Encode("shard_merge", ShardMerge{i, result.shard_statements[i]},
+                  kShardMergeFields);
   }
   for (const FoundBug& bug : result.unique_bugs) {
-    out << "{\"event\":\"first_witness\",\"bug_id\":" << bug.crash.bug_id
-        << ",\"pattern\":\"" << EscapeJson(bug.found_by)
-        << "\",\"statement_index\":" << bug.statements_until_found
-        << ",\"shard\":" << bug.shard << ",\"wall_ms\":"
-        << FormatMs(static_cast<uint64_t>(bug.found_wall_ns))
-        << ",\"recorded\":" << (bug.wall_recorded ? "true" : "false") << "}\n";
+    JournalWitness witness;
+    witness.bug_id = bug.crash.bug_id;
+    witness.pattern = bug.found_by;
+    witness.statement_index = bug.statements_until_found;
+    witness.shard = bug.shard;
+    witness.wall_ms = NsToMs(static_cast<uint64_t>(bug.found_wall_ns));
+    witness.recorded = bug.wall_recorded;
+    out << Encode("first_witness", witness, kWitnessFields);
   }
   for (const FoundLogicBug& bug : result.logic_bugs) {
-    out << "{\"event\":\"logic_bug\",\"bug_id\":" << bug.info.bug_id
-        << ",\"oracle\":\"" << EscapeJson(bug.oracle) << "\",\"function\":\""
-        << EscapeJson(bug.info.function) << "\",\"effect\":\""
-        << LogicEffectName(bug.info.effect) << "\",\"scope\":\""
-        << LogicScopeName(bug.info.scope) << "\",\"case_index\":" << bug.case_index
-        << ",\"statement_index\":" << bug.statements_until_found
-        << ",\"shard\":" << bug.shard << ",\"poc\":\"" << EscapeJson(bug.poc_sql)
-        << "\",\"witness\":\"" << EscapeJson(bug.witness) << "\"}\n";
+    JournalLogicBug event;
+    event.bug_id = bug.info.bug_id;
+    event.oracle = bug.oracle;
+    event.function = bug.info.function;
+    event.effect = LogicEffectName(bug.info.effect);
+    event.scope = LogicScopeName(bug.info.scope);
+    event.case_index = bug.case_index;
+    event.statement_index = bug.statements_until_found;
+    event.shard = bug.shard;
+    event.poc = bug.poc_sql;
+    event.witness = bug.witness;
+    out << Encode("logic_bug", event, kLogicBugFields);
   }
   for (const trace::CrashFlightRecord& flight : result.crash_flights) {
-    // Top-level fields precede "entries" so the flat extractors find them
-    // first on replay (the entry objects reuse none of these keys anyway).
-    out << "{\"event\":\"crash_flight\",\"shard\":" << flight.shard
-        << ",\"worker_run\":" << flight.worker_run
-        << ",\"announced\":" << (flight.announced ? "true" : "false")
-        << ",\"bug_id\":" << flight.bug_id
-        << ",\"last_checkpoint_cases\":" << flight.last_checkpoint_cases
-        << ",\"entries\":[";
-    for (size_t i = 0; i < flight.entries.size(); ++i) {
-      const trace::FlightEntry& entry = flight.entries[i];
-      if (i != 0) {
-        out << ',';
-      }
-      out << "{\"index\":" << entry.statement_index << ",\"pattern\":\""
-          << EscapeJson(entry.pattern) << "\",\"stage\":\""
-          << EscapeJson(entry.stage_reached) << "\",\"outcome\":\""
-          << EscapeJson(entry.outcome) << "\",\"sql\":\"" << EscapeJson(entry.sql)
-          << "\"}";
-    }
-    out << "]}\n";
+    out << Encode("crash_flight", flight, kCrashFlightFields);
   }
-  out << "{\"event\":\"campaign_finish\",\"statements\":" << result.statements_executed
-      << ",\"sql_errors\":" << result.sql_errors
-      << ",\"crashes_observed\":" << result.crashes_observed
-      << ",\"false_positives\":" << result.false_positives
-      << ",\"watchdog_timeouts\":" << result.watchdog_timeouts
-      << ",\"unique_bugs\":" << result.unique_bugs.size()
-      << ",\"logic_checks\":" << result.logic_checks
-      << ",\"logic_divergences\":" << result.logic_divergences
-      << ",\"logic_false_positives\":" << result.logic_false_positives
-      << ",\"logic_bugs\":" << result.logic_bugs.size()
-      << ",\"functions_triggered\":" << result.functions_triggered
-      << ",\"branches_covered\":" << result.branches_covered
-      << ",\"journal_degraded\":" << (result.journal_degraded ? 1 : 0)
-      << ",\"wall_ms\":" << FormatMs(wall_ns) << "}\n";
+  JournalReplay finish;
+  finish.statements_executed = result.statements_executed;
+  finish.sql_errors = result.sql_errors;
+  finish.crashes_observed = result.crashes_observed;
+  finish.false_positives = result.false_positives;
+  finish.watchdog_timeouts = result.watchdog_timeouts;
+  finish.unique_bug_count = static_cast<int>(result.unique_bugs.size());
+  finish.logic_checks = result.logic_checks;
+  finish.logic_divergences = result.logic_divergences;
+  finish.logic_false_positives = result.logic_false_positives;
+  finish.logic_bug_count = static_cast<int>(result.logic_bugs.size());
+  finish.functions_triggered = result.functions_triggered;
+  finish.branches_covered = result.branches_covered;
+  finish.journal_degraded = result.journal_degraded;
+  finish.wall_ms = NsToMs(wall_ns);
+  out << Encode("campaign_finish", finish, kFinishFields);
 }
 
 void WriteCampaignJournal(std::ostream& out, const CampaignOptions& options,
@@ -480,6 +679,7 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
+    const std::string where = "journal line " + std::to_string(line_no);
     // Torn-tail rule: every writer emits the terminating '\n' as the last
     // byte of a record, so a final line that hits EOF without one is a
     // record the producer died inside (the kill -9 case). It is dropped —
@@ -495,247 +695,67 @@ Result<JournalReplay> ReplayJournal(std::istream& in) {
     if (line.empty()) {
       continue;
     }
-    std::string event;
-    if (!ExtractString(line, "event", event)) {
-      return InvalidArgument("journal line " + std::to_string(line_no) +
-                             ": missing \"event\" field");
+    JsonObject object;
+    if (!LineReader(line).Read(object)) {
+      return InvalidArgument(where + ": not a JSON object");
     }
+    const JsonField* event_field = object.Find("event");
+    if (event_field == nullptr || event_field->kind != JsonField::kString) {
+      return InvalidArgument(where + ": missing \"event\" field");
+    }
+    const std::string& event = event_field->text;
+    bool ok = true;
     if (event == "campaign_start") {
-      int64_t budget = 0, shards = 0;
-      if (!ExtractString(line, "tool", replay.tool) ||
-          !ExtractString(line, "dialect", replay.dialect) ||
-          !ExtractUint(line, "seed", replay.seed) ||
-          !ExtractInt(line, "budget", budget) || !ExtractInt(line, "shards", shards)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed campaign_start");
-      }
-      replay.budget = static_cast<int>(budget);
-      replay.shards = static_cast<int>(shards);
+      ok = Decode(object, replay, kStartFields);
       started = true;
     } else if (event == "shard_merge") {
-      int64_t statements = 0;
-      if (!ExtractInt(line, "statements", statements)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed shard_merge");
-      }
-      replay.shard_statements.push_back(static_cast<int>(statements));
+      ShardMerge merge;
+      ok = Decode(object, merge, kShardMergeFields);
+      replay.shard_statements.push_back(merge.statements);
     } else if (event == "first_witness") {
-      JournalWitness witness;
-      int64_t bug_id = 0, statement_index = 0, shard = 0;
-      if (!ExtractInt(line, "bug_id", bug_id) ||
-          !ExtractString(line, "pattern", witness.pattern) ||
-          !ExtractInt(line, "statement_index", statement_index) ||
-          !ExtractInt(line, "shard", shard) ||
-          !ExtractDouble(line, "wall_ms", witness.wall_ms)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed first_witness");
-      }
-      witness.bug_id = static_cast<int>(bug_id);
-      witness.statement_index = static_cast<int>(statement_index);
-      witness.shard = static_cast<int>(shard);
+      ok = Append(object, replay.witnesses, kWitnessFields);
       // Absent in journals written before the recorded flag existed: fall
       // back to the old (ambiguous) inference — nonzero wall means recorded.
-      if (!ExtractBool(line, "recorded", witness.recorded)) {
-        witness.recorded = witness.wall_ms != 0.0;
+      if (ok && object.Find("recorded") == nullptr) {
+        replay.witnesses.back().recorded = replay.witnesses.back().wall_ms != 0.0;
       }
-      replay.witnesses.push_back(std::move(witness));
     } else if (event == "logic_bug") {
-      JournalLogicBug bug;
-      int64_t bug_id = 0, case_index = 0, statement_index = 0, shard = 0;
-      if (!ExtractInt(line, "bug_id", bug_id) ||
-          !ExtractString(line, "oracle", bug.oracle) ||
-          !ExtractString(line, "function", bug.function) ||
-          !ExtractString(line, "effect", bug.effect) ||
-          !ExtractString(line, "scope", bug.scope) ||
-          !ExtractInt(line, "case_index", case_index) ||
-          !ExtractInt(line, "statement_index", statement_index) ||
-          !ExtractInt(line, "shard", shard) ||
-          !ExtractString(line, "poc", bug.poc) ||
-          !ExtractString(line, "witness", bug.witness)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed logic_bug");
-      }
-      bug.bug_id = static_cast<int>(bug_id);
-      bug.case_index = static_cast<int>(case_index);
-      bug.statement_index = static_cast<int>(statement_index);
-      bug.shard = static_cast<int>(shard);
-      replay.logic_bugs.push_back(std::move(bug));
+      ok = Append(object, replay.logic_bugs, kLogicBugFields);
     } else if (event == "crash_flight") {
-      trace::CrashFlightRecord flight;
-      int64_t shard = 0, worker_run = 0, bug_id = 0, last_cases = 0;
-      if (!ExtractInt(line, "shard", shard) ||
-          !ExtractInt(line, "worker_run", worker_run) ||
-          !ExtractBool(line, "announced", flight.announced) ||
-          !ExtractInt(line, "bug_id", bug_id) ||
-          !ExtractInt(line, "last_checkpoint_cases", last_cases) ||
-          !ParseFlightEntries(line, flight.entries)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed crash_flight");
-      }
-      flight.shard = static_cast<int>(shard);
-      flight.worker_run = static_cast<int>(worker_run);
-      flight.bug_id = static_cast<int>(bug_id);
-      flight.last_checkpoint_cases = static_cast<int>(last_cases);
-      replay.crash_flights.push_back(std::move(flight));
+      ok = Append(object, replay.crash_flights, kCrashFlightFields);
     } else if (event == "checkpoint") {
-      CampaignCheckpoint cp;
-      int64_t every = 0, shard = 0, cases = 0, sql_errors = 0, crashes = 0, fps = 0,
-              timeouts = 0, bugs = 0;
-      if (!ExtractInt(line, "every", every) || !ExtractInt(line, "shard", shard) ||
-          !ExtractInt(line, "cases_completed", cases) ||
-          !ExtractInt(line, "sql_errors", sql_errors) ||
-          !ExtractInt(line, "crashes_observed", crashes) ||
-          !ExtractInt(line, "false_positives", fps) ||
-          !ExtractInt(line, "watchdog_timeouts", timeouts) ||
-          !ExtractInt(line, "unique_bugs", bugs) ||
-          !ExtractUint(line, "rng_fingerprint", cp.rng_fingerprint) ||
-          !ExtractUint(line, "dedup_digest", cp.dedup_digest)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed checkpoint");
-      }
-      cp.every = static_cast<int>(every);
-      cp.shard = static_cast<int>(shard);
-      cp.cases_completed = static_cast<int>(cases);
-      cp.sql_errors = static_cast<int>(sql_errors);
-      cp.crashes_observed = static_cast<int>(crashes);
-      cp.false_positives = static_cast<int>(fps);
-      cp.watchdog_timeouts = static_cast<int>(timeouts);
-      cp.unique_bugs = static_cast<int>(bugs);
-      replay.checkpoints.push_back(cp);
+      ok = Append(object, replay.checkpoints, kCheckpointFields);
     } else if (event == "lease") {
-      JournalLeaseEvent lease;
-      int64_t unit = 0, worker = 0, cases = 0;
-      if (!ExtractString(line, "action", lease.action) ||
-          !ExtractInt(line, "unit", unit) || !ExtractInt(line, "worker", worker) ||
-          !ExtractInt(line, "cases", cases) ||
-          !ExtractUint(line, "unit_digest", lease.unit_digest)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed lease");
-      }
-      lease.unit = static_cast<int>(unit);
-      lease.worker = static_cast<int>(worker);
-      lease.cases = static_cast<int>(cases);
-      replay.lease_events.push_back(std::move(lease));
+      ok = Append(object, replay.lease_events, kLeaseFields);
     } else if (event == "worker_death") {
-      JournalWorkerDeath death;
-      int64_t worker = 0, units_completed = 0;
-      if (!ExtractInt(line, "worker", worker) || !ExtractInt(line, "pid", death.pid) ||
-          !ExtractInt(line, "units_completed", units_completed) ||
-          !ExtractString(line, "reason", death.reason)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed worker_death");
-      }
-      death.worker = static_cast<int>(worker);
-      death.units_completed = static_cast<int>(units_completed);
-      replay.worker_deaths.push_back(std::move(death));
+      ok = Append(object, replay.worker_deaths, kWorkerDeathFields);
     } else if (event == "fleet_finish") {
-      JournalFleetFinish& fin = replay.fleet;
-      bool degraded = false;
-      if (!ExtractUint(line, "units", fin.units) ||
-          !ExtractUint(line, "workers_spawned", fin.workers_spawned) ||
-          !ExtractUint(line, "worker_deaths", fin.worker_deaths) ||
-          !ExtractUint(line, "leases_granted", fin.leases_granted) ||
-          !ExtractUint(line, "leases_reclaimed", fin.leases_reclaimed) ||
-          !ExtractUint(line, "leases_stolen", fin.leases_stolen) ||
-          !ExtractUint(line, "heartbeats", fin.heartbeats) ||
-          !ExtractUint(line, "units_completed", fin.units_completed) ||
-          !ExtractUint(line, "units_run_locally", fin.units_run_locally) ||
-          !ExtractUint(line, "units_resumed", fin.units_resumed) ||
-          !ExtractUint(line, "units_spool_diverged", fin.units_spool_diverged) ||
-          !ExtractBool(line, "degraded_to_local", degraded)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed fleet_finish");
-      }
-      fin.degraded_to_local = degraded;
+      ok = Decode(object, replay.fleet, kFleetFinishFields);
       replay.fleet_finished = true;
     } else if (event == "health") {
-      JournalHealthEvent health;
-      if (!ExtractString(line, "state", health.state) ||
-          !ExtractString(line, "reason", health.reason) ||
-          !ExtractDouble(line, "statements_per_s", health.statements_per_s) ||
-          !ExtractDouble(line, "units_per_s", health.units_per_s) ||
-          !ExtractDouble(line, "bugs_per_s", health.bugs_per_s) ||
-          !ExtractDouble(line, "reclaims_per_s", health.reclaims_per_s) ||
-          !ExtractDouble(line, "redeliveries_per_s", health.redeliveries_per_s) ||
-          !ExtractDouble(line, "wall_ms", health.wall_ms)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed health");
-      }
-      replay.health_events.push_back(std::move(health));
+      ok = Append(object, replay.health_events, kHealthFields);
     } else if (event == "metrics_snapshot") {
-      JournalMetricsSnapshot snap;
-      if (!ExtractUint(line, "series", snap.series) ||
-          !ExtractUint(line, "statements", snap.statements) ||
-          !ExtractUint(line, "units_done", snap.units_done) ||
-          !ExtractString(line, "health", snap.health) ||
-          !ExtractDouble(line, "wall_ms", snap.wall_ms)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed metrics_snapshot");
-      }
-      replay.metrics_snapshots.push_back(std::move(snap));
+      ok = Append(object, replay.metrics_snapshots, kMetricsSnapshotFields);
     } else if (event == "net_session" || event == "net_disconnect" ||
                event == "net_redeliver" || event == "net_dup_result") {
-      JournalNetEvent net;
-      net.kind = event.substr(4);
-      int64_t worker = -1, unit = -1;
-      if (!ExtractString(line, "detail", net.detail) ||
-          !ExtractString(line, "session", net.session) ||
-          !ExtractInt(line, "worker", worker) || !ExtractInt(line, "unit", unit)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed " + event);
+      ok = Append(object, replay.net_events, kNetFields);
+      if (ok) {
+        replay.net_events.back().kind = event.substr(4);
       }
-      net.worker = static_cast<int>(worker);
-      net.unit = static_cast<int>(unit);
-      replay.net_events.push_back(std::move(net));
     } else if (event == "campaign_resume") {
-      int64_t from_cases = 0;
-      if (!ExtractInt(line, "from_cases", from_cases)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed campaign_resume");
-      }
+      int from_cases = 0;
+      ok = Decode(object, from_cases, kResumeFields);
       ++replay.resume_markers;
     } else if (event == "chaos") {
-      std::string spec;
-      if (!ExtractString(line, "spec", spec)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed chaos marker");
-      }
-      replay.chaos_specs.push_back(std::move(spec));
+      ok = Append(object, replay.chaos_specs, kChaosFields);
     } else if (event == "campaign_finish") {
-      int64_t statements = 0;
-      if (!ExtractInt(line, "statements", statements) ||
-          !ExtractUint(line, "functions_triggered", replay.functions_triggered) ||
-          !ExtractUint(line, "branches_covered", replay.branches_covered) ||
-          !ExtractDouble(line, "wall_ms", replay.wall_ms)) {
-        return InvalidArgument("journal line " + std::to_string(line_no) +
-                               ": malformed campaign_finish");
-      }
-      // Optional in journals written before the statement watchdog existed.
-      int64_t timeouts = 0;
-      if (ExtractInt(line, "watchdog_timeouts", timeouts)) {
-        replay.watchdog_timeouts = static_cast<int>(timeouts);
-      }
-      // Optional in journals written before sink degradation was recorded.
-      int64_t degraded = 0;
-      if (ExtractInt(line, "journal_degraded", degraded)) {
-        replay.journal_degraded = degraded != 0;
-      }
-      // Optional in journals written before the wrong-result oracles existed.
-      int64_t logic = 0;
-      if (ExtractInt(line, "logic_checks", logic)) {
-        replay.logic_checks = static_cast<int>(logic);
-      }
-      if (ExtractInt(line, "logic_divergences", logic)) {
-        replay.logic_divergences = static_cast<int>(logic);
-      }
-      if (ExtractInt(line, "logic_false_positives", logic)) {
-        replay.logic_false_positives = static_cast<int>(logic);
-      }
-      replay.statements_executed = static_cast<int>(statements);
+      ok = Decode(object, replay, kFinishFields);
       replay.finished = true;
     } else {
-      return InvalidArgument("journal line " + std::to_string(line_no) +
-                             ": unknown event '" + event + "'");
+      return InvalidArgument(where + ": unknown event '" + event + "'");
+    }
+    if (!ok) {
+      return InvalidArgument(where + ": malformed " + event);
     }
   }
   if (!started) {
@@ -796,8 +816,8 @@ int TracePid(const trace::TraceSpan& span) {
 
 void AppendProcessName(std::string& out, int pid, const std::string& name) {
   out += "{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
-         ",\"tid\":0,\"ts\":0,\"name\":\"process_name\",\"args\":{\"name\":\"" +
-         EscapeJson(name) + "\"}}";
+         ",\"tid\":0,\"ts\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
+         JsonQuote(name) + "}}";
 }
 
 }  // namespace
@@ -822,7 +842,7 @@ Status WriteChromeTraceFile(const std::string& path, const CampaignResult& resul
       out += ",\"parent_id\":\"" + FormatSpanId(span.parent_id) + "\"";
     }
     for (const auto& [key, value] : span.args) {
-      out += ",\"" + EscapeJson(key) + "\":\"" + EscapeJson(value) + "\"";
+      out += "," + JsonQuote(key) + ":" + JsonQuote(value);
     }
     out += "}}";
   }

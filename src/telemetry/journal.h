@@ -1,59 +1,37 @@
 // NDJSON campaign journal: one JSON object per line, serializing a
 // campaign's event stream so bug-discovery-vs-budget curves can be replotted
-// offline (docs/OBSERVABILITY.md documents the schema with worked examples).
+// offline. docs/OBSERVABILITY.md documents every event's fields with worked
+// examples.
 //
 // The journal is derived from the finished CampaignResult, not streamed from
 // inside the campaign loop — that keeps the event order a pure function of
 // the (deterministic) result and never of thread scheduling, preserving the
 // parallel runner's bit-identical-merge guarantee. Event types:
 //
-//   campaign_start   tool, dialect, seed, budget, shards
-//   checkpoint       streamed periodic progress record (docs/ROBUSTNESS.md):
-//                    cases completed, counters, RNG fingerprint, dedup
-//                    digest — what --resume replays from
-//   campaign_resume  marker a resumed run writes before continuing: the
-//                    cases_completed it resumed from
-//   shard_merge      one per shard of a sharded run: shard, statements
-//   first_witness    one per unique bug, discovery order: bug_id, pattern,
-//                    statement index, shard, wall_ms, recorded (false when
-//                    telemetry was not collecting — a wall_ms of 0 with
-//                    recorded=true is a genuine sub-millisecond hit)
-//   logic_bug        one per seeded wrong-result bug an oracle caught, in
-//                    case order: bug_id, oracle ("eet"/"diff"/"norec"/"tlp"),
-//                    function, effect, scope, case_index (shard-invariant),
-//                    statement_index + shard (shard-local attribution), poc,
-//                    witness (the diverging rewrite / sibling dialect)
-//   crash_flight     one per worker death in a real-crash campaign: shard,
-//                    worker_run, announced, bug_id, last_checkpoint_cases,
-//                    and the flushed flight-ring entries (the last entry of
-//                    an announced crash is the crashing statement itself)
-//   lease            fleet coordinator lease transition (streamed live):
-//                    action (grant|complete|reclaim|steal|local|resume),
-//                    unit, worker, cases, unit_digest — the record --resume
-//                    trusts when re-admitting a spooled unit result
-//   worker_death     fleet worker connection lost or process reaped dead:
-//                    worker, pid, units_completed, reason
-//   net_session      fleet transport session lifecycle: detail (open|resume),
-//                    session token, worker
-//   net_disconnect   fleet connection lost without killing its session:
-//                    detail (reason), session, worker
-//   net_redeliver    coordinator re-sent a GRANT to a resumed session whose
-//                    FIN it never saw: session, worker, unit
-//   net_dup_result   a double-delivered unit result was deduplicated at
-//                    merge: detail (match|stale), session, worker, unit
-//   fleet_finish     fleet campaign totals: units, workers_spawned,
-//                    worker_deaths, leases granted/reclaimed/stolen,
-//                    heartbeats, units completed/local/resumed/diverged,
-//                    degraded_to_local
-//   health           campaign-health doctor transition (streamed live):
-//                    state (ok|warn|stall), reason, rolling-window rates
-//                    (statements/units/bugs/reclaims/redeliveries per
-//                    second), wall_ms since campaign start
-//   metrics_snapshot marker for a --metrics-out Prometheus snapshot write:
-//                    series count, cumulative statements, units_done,
-//                    health state at the snapshot, wall_ms
-//   campaign_finish  totals, coverage, wall_ms
+//   campaign_start    run identity (always first)
+//   checkpoint        streamed periodic progress record — what --resume
+//                     replays from (docs/ROBUSTNESS.md)
+//   campaign_resume   marker a resumed run writes before continuing
+//   chaos             the failpoint spec a chaos campaign armed
+//   shard_merge       one per shard of a sharded run
+//   first_witness     one per unique bug, in discovery order
+//   logic_bug         one per seeded wrong-result bug an oracle caught
+//   crash_flight      one per worker death in a real-crash campaign, with
+//                     its flushed flight-ring entries
+//   lease             fleet lease transition (streamed live)
+//   worker_death      fleet worker connection lost or process reaped dead
+//   net_session, net_disconnect, net_redeliver, net_dup_result
+//                     fleet transport session events
+//   fleet_finish      fleet campaign totals
+//   health            campaign-health doctor transition (streamed live)
+//   metrics_snapshot  marker for a --metrics-out Prometheus snapshot write
+//   campaign_finish   totals, coverage, wall_ms
 //
+// Each event's keys are listed once, in a field table in journal.cc that
+// drives both its writer and its replay. Strings go through the shared codec
+// (src/util/json_string.h): control bytes are written as \u00XX and decoded
+// back on replay, so PoC and witness SQL replay byte for byte. Numbers are
+// read from their token text, so 64-bit digests and seeds replay exactly.
 // ReplayJournal parses the stream back; a replayed journal reconstructs the
 // exact bug set and per-bug first witnesses (tests/telemetry_test.cc).
 //
@@ -105,6 +83,8 @@ struct JournalLeaseEvent {
   // actions); 0 otherwise. Resume re-admits a spooled unit only when its
   // recomputed digest matches this journaled value.
   uint64_t unit_digest = 0;
+
+  bool operator==(const JournalLeaseEvent&) const = default;
 };
 
 // One fleet worker_death event: the coordinator lost the worker's connection
@@ -114,6 +94,8 @@ struct JournalWorkerDeath {
   int64_t pid = 0;
   int units_completed = 0;
   std::string reason;  // e.g. "eof", "signal 9", "lease expired"
+
+  bool operator==(const JournalWorkerDeath&) const = default;
 };
 
 // The fleet_finish event's counter snapshot. uint64_t throughout: a
@@ -131,6 +113,8 @@ struct JournalFleetFinish {
   uint64_t units_resumed = 0;
   uint64_t units_spool_diverged = 0;
   bool degraded_to_local = false;
+
+  bool operator==(const JournalFleetFinish&) const = default;
 };
 
 // One campaign-health doctor transition (docs/OBSERVABILITY.md, "Doctor").
@@ -145,6 +129,8 @@ struct JournalHealthEvent {
   double reclaims_per_s = 0.0;
   double redeliveries_per_s = 0.0;
   double wall_ms = 0.0;  // since campaign start
+
+  bool operator==(const JournalHealthEvent&) const = default;
 };
 
 // One metrics_snapshot marker: the coordinator wrote a --metrics-out
@@ -156,6 +142,8 @@ struct JournalMetricsSnapshot {
   uint64_t units_done = 0;
   std::string health;       // doctor state at the snapshot (ok|warn|stall)
   double wall_ms = 0.0;
+
+  bool operator==(const JournalMetricsSnapshot&) const = default;
 };
 
 // One fleet transport event (the framed multi-host wire): session open or
@@ -169,7 +157,18 @@ struct JournalNetEvent {
   std::string session; // session token
   int worker = -1;
   int unit = -1;       // -1 when the event is not unit-scoped
+
+  bool operator==(const JournalNetEvent&) const = default;
 };
+
+// Names every checkpoint field on which `replayed` differs from `journal`,
+// with both values ("rng_fingerprint journal=… replay=…; dedup_digest …").
+// Feeds --resume's divergence error so an operator can tell a corrupted
+// journal (digest off) from mismatched campaign knobs (counters off) without
+// diffing checkpoints by hand. "no field differs" only when the structs are
+// equal — the caller then has a logic error, not a divergence.
+std::string DescribeCheckpointDivergence(const CampaignCheckpoint& journal,
+                                         const CampaignCheckpoint& replayed);
 
 // Streaming writers for the fleet coordinator's journal.
 void WriteLeaseEvent(std::ostream& out, const JournalLeaseEvent& event);
@@ -191,6 +190,8 @@ struct JournalWitness {
   // meaningless, not "instant"). Journals written before this field existed
   // replay with the old inference: recorded = (wall_ms != 0).
   bool recorded = false;
+
+  bool operator==(const JournalWitness&) const = default;
 };
 
 // One logic_bug event read back from a journal.
@@ -205,6 +206,8 @@ struct JournalLogicBug {
   int shard = 0;
   std::string poc;        // the flagged statement
   std::string witness;    // diverging EET variant SQL / sibling dialect name
+
+  bool operator==(const JournalLogicBug&) const = default;
 };
 
 // A parsed journal: campaign metadata plus the witness stream.
@@ -228,13 +231,18 @@ struct JournalReplay {
   std::vector<JournalMetricsSnapshot> metrics_snapshots;  // stream order
   bool fleet_finished = false;              // fleet_finish event present
   JournalFleetFinish fleet;                 // valid when fleet_finished
+  // campaign_finish totals. All but statements_executed are absent — and
+  // zero — in journals written before they were recorded.
   int statements_executed = 0;
-  // Wrong-result oracle totals from campaign_finish (absent — and zero — in
-  // journals written before the logic oracles existed).
+  int sql_errors = 0;
+  int crashes_observed = 0;
+  int false_positives = 0;
+  int unique_bug_count = 0;  // "unique_bugs": witnesses.size() when intact
   int logic_checks = 0;
   int logic_divergences = 0;
   int logic_false_positives = 0;
-  int watchdog_timeouts = 0;               // absent in pre-watchdog journals
+  int logic_bug_count = 0;   // "logic_bugs": logic_bugs.size() when intact
+  int watchdog_timeouts = 0;
   uint64_t functions_triggered = 0;
   uint64_t branches_covered = 0;
   double wall_ms = 0.0;

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -399,6 +400,47 @@ TEST(FleetCampaign, StallIsJournaledAndStaysUnackedThroughDegrade) {
     }
   }
   EXPECT_TRUE(saw_stall) << "the stall transition must be journaled";
+}
+
+// Sums every soft_health_transitions_by_state_total series of an exposition.
+uint64_t TransitionsByStateSum(const std::string& exposition) {
+  const std::string prefix = "soft_health_transitions_by_state_total{";
+  uint64_t sum = 0;
+  std::istringstream in(exposition);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) == 0) {
+      sum += std::stoull(line.substr(line.rfind(' ') + 1));
+    }
+  }
+  return sum;
+}
+
+// The per-state transition counter belongs to its campaign: a second fleet
+// campaign in the same process reports its own doctor transitions, not the
+// first campaign's as well.
+TEST(FleetCampaign, HealthTransitionsByStateCountOnlyTheirOwnCampaign) {
+  for (const char* tag : {"trans_a", "trans_b"}) {
+    const std::string metrics_path =
+        testing::TempDir() + "/soft_fleet_" + tag + ".prom";
+    std::remove(metrics_path.c_str());
+    // The stall setup of StallIsJournaledAndStaysUnackedThroughDegrade: the
+    // doctor is guaranteed at least one transition.
+    FleetOptions fleet;
+    fleet.socket_path = SocketPath(tag);
+    fleet.workers = 0;
+    fleet.units = kUnits;
+    fleet.lease_deadline_ms = 300;
+    fleet.doctor_stall_leases = 1;
+    fleet.metrics_out = metrics_path;
+    const Result<FleetOutcome> outcome =
+        RunFleetCampaign(kDialect, SmallCampaign(), fleet);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_GE(outcome->stats.health_transitions, 1u) << tag;
+    EXPECT_EQ(TransitionsByStateSum(ReadFileOrEmpty(metrics_path)),
+              outcome->stats.health_transitions)
+        << tag;
+  }
 }
 
 TEST(FleetCampaign, WorkerCompletionAcknowledgesAStall) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -618,6 +619,296 @@ TEST(TelemetryJournalTest, LegacyFinishLinesReplayWithZeroLogicCounters) {
   EXPECT_EQ(replayed->logic_checks, 0);
   EXPECT_EQ(replayed->logic_divergences, 0);
   EXPECT_EQ(replayed->logic_false_positives, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Every event kind, written from fixed inputs whose strings carry the
+// boundary bytes a journal must survive.
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kU64Max = UINT64_MAX;
+
+// Control bytes, an escaped newline, quotes and backslashes, braces and
+// brackets, a key lookalike, and non-ASCII UTF-8 (é, €). `tag` keeps the
+// values distinct so a swapped field cannot replay as a match.
+std::string Boundary(const std::string& tag) {
+  return tag + "\x01" + "\t\r\n\"\\{}[],:" + "\"bug_id\":9," + "\xc3\xa9\xe2\x82\xac";
+}
+
+CampaignCheckpoint EveryEventCheckpoint() {
+  CampaignCheckpoint cp;
+  cp.every = 500;
+  cp.shard = 1;
+  cp.cases_completed = 1000;
+  cp.sql_errors = 20;
+  cp.crashes_observed = 3;
+  cp.false_positives = 1;
+  cp.watchdog_timeouts = 2;
+  cp.unique_bugs = 1;
+  cp.rng_fingerprint = kU64Max;
+  cp.dedup_digest = kU64Max - 1;
+  return cp;
+}
+
+CampaignResult EveryEventResult() {
+  CampaignResult r;
+  r.tool = Boundary("tool");
+  r.dialect = Boundary("dialect");
+  r.statements_executed = 1234;
+  r.sql_errors = 56;
+  r.crashes_observed = 7;
+  r.false_positives = 8;
+  r.watchdog_timeouts = 9;
+  r.logic_checks = 10;
+  r.logic_divergences = 11;
+  r.logic_false_positives = 12;
+  r.functions_triggered = 13;
+  r.branches_covered = 14;
+  r.shards = 2;
+  r.shard_statements = {600, 634};
+  r.journal_degraded = true;
+
+  FoundBug bug;
+  bug.crash.bug_id = 42;
+  bug.found_by = Boundary("pattern");
+  bug.statements_until_found = 77;
+  bug.shard = 1;
+  bug.found_wall_ns = 1500000;  // 1.500 ms: exact at the journal's precision
+  bug.wall_recorded = true;
+  r.unique_bugs = {bug};
+
+  FoundLogicBug logic;
+  logic.info.bug_id = 501;
+  logic.info.function = Boundary("function");
+  logic.info.effect = LogicEffect::kTruncate;
+  logic.info.scope = LogicScope::kConstArgs;
+  logic.oracle = Boundary("oracle");
+  logic.poc_sql = "SELECT '" + Boundary("poc") + "'";
+  logic.witness = Boundary("witness");
+  logic.case_index = 3;
+  logic.statements_until_found = 4;
+  logic.shard = 1;
+  r.logic_bugs = {logic};
+
+  trace::CrashFlightRecord flight;
+  flight.shard = 1;
+  flight.worker_run = 2;
+  flight.announced = true;
+  flight.bug_id = 42;
+  flight.last_checkpoint_cases = 500;
+  flight.entries = {
+      {76, Boundary("entry"), "SELECT {" + Boundary("sql") + "}", Boundary("stage"),
+       Boundary("outcome")},
+      {77, "P1.1", "SELECT 1", "execute", "crash"}};
+  r.crash_flights = {flight};
+  return r;
+}
+
+telemetry::JournalLeaseEvent EveryEventLease() {
+  telemetry::JournalLeaseEvent lease;
+  lease.action = Boundary("action");
+  lease.unit = 3;
+  lease.worker = 2;
+  lease.cases = 99;
+  lease.unit_digest = kU64Max;
+  return lease;
+}
+
+telemetry::JournalWorkerDeath EveryEventDeath() {
+  telemetry::JournalWorkerDeath death;
+  death.worker = 2;
+  death.pid = INT64_MAX;
+  death.units_completed = 5;
+  death.reason = Boundary("reason");
+  return death;
+}
+
+std::vector<telemetry::JournalNetEvent> EveryEventNet() {
+  std::vector<telemetry::JournalNetEvent> events;
+  const char* kinds[] = {"session", "disconnect", "redeliver", "dup_result"};
+  for (int i = 0; i < 4; ++i) {
+    telemetry::JournalNetEvent net;
+    net.kind = kinds[i];
+    net.detail = Boundary("detail" + std::to_string(i));
+    net.session = Boundary("session" + std::to_string(i));
+    net.worker = i;
+    net.unit = i - 1;
+    events.push_back(net);
+  }
+  return events;
+}
+
+telemetry::JournalHealthEvent EveryEventHealth() {
+  telemetry::JournalHealthEvent health;
+  health.state = Boundary("state");
+  health.reason = Boundary("health-reason");
+  health.statements_per_s = 1234.5;
+  health.units_per_s = 0.25;
+  health.bugs_per_s = 0.125;
+  health.reclaims_per_s = 2.0;
+  health.redeliveries_per_s = 0.5;
+  health.wall_ms = 1500.75;
+  return health;
+}
+
+telemetry::JournalMetricsSnapshot EveryEventSnapshot() {
+  telemetry::JournalMetricsSnapshot snap;
+  snap.series = kU64Max;
+  snap.statements = kU64Max - 1;
+  snap.units_done = kU64Max - 2;
+  snap.health = Boundary("snapshot-health");
+  snap.wall_ms = 250.5;
+  return snap;
+}
+
+telemetry::JournalFleetFinish EveryEventFleetFinish() {
+  telemetry::JournalFleetFinish fin;
+  fin.units = kU64Max;
+  fin.workers_spawned = kU64Max - 1;
+  fin.worker_deaths = kU64Max - 2;
+  fin.leases_granted = kU64Max - 3;
+  fin.leases_reclaimed = kU64Max - 4;
+  fin.leases_stolen = kU64Max - 5;
+  fin.heartbeats = kU64Max - 6;
+  fin.units_completed = kU64Max - 7;
+  fin.units_run_locally = kU64Max - 8;
+  fin.units_resumed = kU64Max - 9;
+  fin.units_spool_diverged = kU64Max - 10;
+  fin.degraded_to_local = true;
+  return fin;
+}
+
+constexpr uint64_t kEveryEventWallNs = 2500000000;  // 2500.000 ms
+
+// One line of each of the 18 event kinds, in a fixed order.
+void WriteEveryEvent(std::ostream& out) {
+  const CampaignResult result = EveryEventResult();
+  CampaignOptions options;
+  options.seed = kU64Max;
+  options.max_statements = 250000;
+  telemetry::WriteCampaignStart(out, options, result.tool, result.dialect, result.shards);
+  telemetry::WriteCheckpointRecord(out, EveryEventCheckpoint());
+  telemetry::WriteResumeMarker(out, 1000);
+  telemetry::WriteChaosMarker(out, Boundary("spec"));
+  telemetry::WriteLeaseEvent(out, EveryEventLease());
+  telemetry::WriteWorkerDeathEvent(out, EveryEventDeath());
+  for (const telemetry::JournalNetEvent& net : EveryEventNet()) {
+    telemetry::WriteNetEvent(out, net);
+  }
+  telemetry::WriteHealthEvent(out, EveryEventHealth());
+  telemetry::WriteMetricsSnapshotEvent(out, EveryEventSnapshot());
+  telemetry::WriteFleetFinishEvent(out, EveryEventFleetFinish());
+  telemetry::WriteCampaignTail(out, result, kEveryEventWallNs);
+}
+
+// The writers' exact bytes. CI greps journal lines, --resume reads them
+// back, and journals already on disk were written with them, so a change
+// here is a format change, not a refactor.
+constexpr char kEveryEventGolden[] = R"golden({"event":"campaign_start","tool":"tool\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","dialect":"dialect\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","seed":18446744073709551615,"budget":250000,"shards":2}
+{"event":"checkpoint","every":500,"shard":1,"cases_completed":1000,"sql_errors":20,"crashes_observed":3,"false_positives":1,"watchdog_timeouts":2,"unique_bugs":1,"rng_fingerprint":18446744073709551615,"dedup_digest":18446744073709551614}
+{"event":"campaign_resume","from_cases":1000}
+{"event":"chaos","spec":"spec\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€"}
+{"event":"lease","action":"action\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","unit":3,"worker":2,"cases":99,"unit_digest":18446744073709551615}
+{"event":"worker_death","worker":2,"pid":9223372036854775807,"units_completed":5,"reason":"reason\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€"}
+{"event":"net_session","detail":"detail0\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","session":"session0\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","worker":0,"unit":-1}
+{"event":"net_disconnect","detail":"detail1\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","session":"session1\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","worker":1,"unit":0}
+{"event":"net_redeliver","detail":"detail2\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","session":"session2\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","worker":2,"unit":1}
+{"event":"net_dup_result","detail":"detail3\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","session":"session3\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","worker":3,"unit":2}
+{"event":"health","state":"state\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","reason":"health-reason\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","statements_per_s":1234.500000,"units_per_s":0.250000,"bugs_per_s":0.125000,"reclaims_per_s":2.000000,"redeliveries_per_s":0.500000,"wall_ms":1500.750000}
+{"event":"metrics_snapshot","series":18446744073709551615,"statements":18446744073709551614,"units_done":18446744073709551613,"health":"snapshot-health\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","wall_ms":250.500000}
+{"event":"fleet_finish","units":18446744073709551615,"workers_spawned":18446744073709551614,"worker_deaths":18446744073709551613,"leases_granted":18446744073709551612,"leases_reclaimed":18446744073709551611,"leases_stolen":18446744073709551610,"heartbeats":18446744073709551609,"units_completed":18446744073709551608,"units_run_locally":18446744073709551607,"units_resumed":18446744073709551606,"units_spool_diverged":18446744073709551605,"degraded_to_local":1}
+{"event":"shard_merge","shard":0,"statements":600}
+{"event":"shard_merge","shard":1,"statements":634}
+{"event":"first_witness","bug_id":42,"pattern":"pattern\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","statement_index":77,"shard":1,"wall_ms":1.500,"recorded":true}
+{"event":"logic_bug","bug_id":501,"oracle":"oracle\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","function":"function\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","effect":"truncate","scope":"const_args","case_index":3,"statement_index":4,"shard":1,"poc":"SELECT 'poc\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€'","witness":"witness\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€"}
+{"event":"crash_flight","shard":1,"worker_run":2,"announced":true,"bug_id":42,"last_checkpoint_cases":500,"entries":[{"index":76,"pattern":"entry\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","stage":"stage\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","outcome":"outcome\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€","sql":"SELECT {sql\u0001\t\r\n\"\\{}[],:\"bug_id\":9,é€}"},{"index":77,"pattern":"P1.1","stage":"execute","outcome":"crash","sql":"SELECT 1"}]}
+{"event":"campaign_finish","statements":1234,"sql_errors":56,"crashes_observed":7,"false_positives":8,"watchdog_timeouts":9,"unique_bugs":1,"logic_checks":10,"logic_divergences":11,"logic_false_positives":12,"logic_bugs":1,"functions_triggered":13,"branches_covered":14,"journal_degraded":1,"wall_ms":2500.000}
+)golden";
+
+TEST(TelemetryJournalTest, WritersEmitPinnedBytes) {
+  std::stringstream stream;
+  WriteEveryEvent(stream);
+  EXPECT_EQ(stream.str(), kEveryEventGolden);
+}
+
+// Every field of every event kind replays exactly: control bytes decode back
+// from \u00XX, a string holding a key lookalike or braces cannot shadow a
+// real field, and 64-bit digests keep all their bits. Cut at any byte, the
+// same stream still replays its intact prefix.
+TEST(TelemetryJournalTest, EveryEventKindRoundTripsBoundaryStrings) {
+  std::stringstream stream;
+  WriteEveryEvent(stream);
+  const std::string full = stream.str();
+  const Result<telemetry::JournalReplay> replayed = telemetry::ReplayJournal(stream);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().message();
+  const CampaignResult result = EveryEventResult();
+
+  EXPECT_EQ(replayed->tool, result.tool);
+  EXPECT_EQ(replayed->dialect, result.dialect);
+  EXPECT_EQ(replayed->seed, kU64Max);
+  EXPECT_EQ(replayed->budget, 250000);
+  EXPECT_EQ(replayed->shards, result.shards);
+  EXPECT_EQ(replayed->checkpoints, std::vector{EveryEventCheckpoint()});
+  EXPECT_EQ(replayed->resume_markers, 1);
+  EXPECT_EQ(replayed->chaos_specs, std::vector{Boundary("spec")});
+  EXPECT_EQ(replayed->lease_events, std::vector{EveryEventLease()});
+  EXPECT_EQ(replayed->worker_deaths, std::vector{EveryEventDeath()});
+  EXPECT_EQ(replayed->net_events, EveryEventNet());
+  EXPECT_EQ(replayed->health_events, std::vector{EveryEventHealth()});
+  EXPECT_EQ(replayed->metrics_snapshots, std::vector{EveryEventSnapshot()});
+  EXPECT_TRUE(replayed->fleet_finished);
+  EXPECT_EQ(replayed->fleet, EveryEventFleetFinish());
+  EXPECT_EQ(replayed->shard_statements, result.shard_statements);
+
+  const FoundBug& bug = result.unique_bugs[0];
+  telemetry::JournalWitness witness;
+  witness.bug_id = bug.crash.bug_id;
+  witness.pattern = bug.found_by;
+  witness.statement_index = bug.statements_until_found;
+  witness.shard = bug.shard;
+  witness.wall_ms = 1.5;
+  witness.recorded = true;
+  EXPECT_EQ(replayed->witnesses, std::vector{witness});
+
+  const FoundLogicBug& logic = result.logic_bugs[0];
+  telemetry::JournalLogicBug logic_event;
+  logic_event.bug_id = logic.info.bug_id;
+  logic_event.oracle = logic.oracle;
+  logic_event.function = logic.info.function;
+  logic_event.effect = "truncate";
+  logic_event.scope = "const_args";
+  logic_event.case_index = logic.case_index;
+  logic_event.statement_index = logic.statements_until_found;
+  logic_event.shard = logic.shard;
+  logic_event.poc = logic.poc_sql;
+  logic_event.witness = logic.witness;
+  EXPECT_EQ(replayed->logic_bugs, std::vector{logic_event});
+  EXPECT_EQ(replayed->crash_flights, result.crash_flights);
+
+  EXPECT_TRUE(replayed->finished);
+  EXPECT_FALSE(replayed->torn_tail);
+  EXPECT_EQ(replayed->statements_executed, result.statements_executed);
+  EXPECT_EQ(replayed->sql_errors, result.sql_errors);
+  EXPECT_EQ(replayed->crashes_observed, result.crashes_observed);
+  EXPECT_EQ(replayed->false_positives, result.false_positives);
+  EXPECT_EQ(replayed->watchdog_timeouts, result.watchdog_timeouts);
+  EXPECT_EQ(replayed->unique_bug_count, 1);
+  EXPECT_EQ(replayed->logic_checks, result.logic_checks);
+  EXPECT_EQ(replayed->logic_divergences, result.logic_divergences);
+  EXPECT_EQ(replayed->logic_false_positives, result.logic_false_positives);
+  EXPECT_EQ(replayed->logic_bug_count, 1);
+  EXPECT_EQ(replayed->functions_triggered, result.functions_triggered);
+  EXPECT_EQ(replayed->branches_covered, result.branches_covered);
+  EXPECT_TRUE(replayed->journal_degraded);
+  EXPECT_DOUBLE_EQ(replayed->wall_ms, 2500.0);
+
+  const size_t first_line_end = full.find('\n') + 1;
+  for (size_t len = first_line_end; len <= full.size(); ++len) {
+    std::stringstream in(full.substr(0, len));
+    const Result<telemetry::JournalReplay> prefix = telemetry::ReplayJournal(in);
+    ASSERT_TRUE(prefix.ok()) << "offset " << len << ": " << prefix.status().message();
+    EXPECT_EQ(prefix->torn_tail, full[len - 1] != '\n') << "offset " << len;
+  }
 }
 
 }  // namespace

@@ -630,7 +630,7 @@ TEST(CheckpointResume, DivergenceReportNamesTheDivergedFields) {
   CampaignOptions base;
   const Result<CampaignResult> resumed = ResumeSoftCampaign(*spec, base);
   ASSERT_FALSE(resumed.ok());
-  const std::string& message = resumed.status().message();
+  const std::string message = resumed.status().message();
   EXPECT_NE(message.find("rng_fingerprint"), std::string::npos) << message;
   EXPECT_NE(message.find("dedup_digest"), std::string::npos) << message;
   EXPECT_NE(message.find("journal=" + std::to_string(0xDEADBEEFull)),
