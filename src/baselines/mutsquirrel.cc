@@ -85,14 +85,8 @@ void SwapFunctions(SelectStmt& sel, Rng& rng, const FunctionRegistry& registry,
 
 CampaignResult MutSquirrel::Run(Database& db, const CampaignOptions& options) {
   CampaignResult result;
-  result.tool = name();
-  result.dialect = db.config().name;
-  const telemetry::ScopedCollector telem(&result.telemetry);
-  const ScopedBaselineRecorders recorders(result, options);
+  CampaignRecorder recorder(result, name(), db, options);
   Rng rng(options.seed ^ 0x535155ull);
-  std::set<int> found_ids;
-  uint64_t dedup_digest = kDedupDigestSeed;
-  ApplyCampaignLimits(db, options);
 
   const std::vector<std::string> suite = SeedSuiteFor(db.config().name);
   // Parse the SELECT seeds once; run DDL/DML seeds as prerequisites. Record
@@ -133,12 +127,10 @@ CampaignResult MutSquirrel::Run(Database& db, const CampaignOptions& options) {
     if (rng.NextBool(0.3) && mutant->limit == std::nullopt) {
       mutant->limit = static_cast<int64_t>(1 + rng.NextBelow(5));
     }
-    ExecuteAndRecord(db, mutant->ToSql(), name(), result, found_ids, dedup_digest);
-    MaybeCheckpointBaseline(options, result, rng, dedup_digest);
+    recorder.Record(mutant->ToSql(), rng.StateFingerprint());
   }
 
-  result.functions_triggered = db.coverage().TriggeredFunctionCount();
-  result.branches_covered = db.coverage().CoveredBranchCount();
+  recorder.Finish();
   return result;
 }
 

@@ -7,8 +7,6 @@
 // trademark random literals (including NULLs in condition functions).
 #include "src/baselines/baselines.h"
 
-#include <set>
-
 #include "src/baselines/baseline_util.h"
 
 namespace soft {
@@ -26,14 +24,8 @@ constexpr const char* kModeledFunctions[] = {
 
 CampaignResult PqsGen::Run(Database& db, const CampaignOptions& options) {
   CampaignResult result;
-  result.tool = name();
-  result.dialect = db.config().name;
-  const telemetry::ScopedCollector telem(&result.telemetry);
-  const ScopedBaselineRecorders recorders(result, options);
+  CampaignRecorder recorder(result, name(), db, options);
   Rng rng(options.seed ^ 0x505153ull);
-  std::set<int> found_ids;
-  uint64_t dedup_digest = kDedupDigestSeed;
-  ApplyCampaignLimits(db, options);
 
   db.Execute("DROP TABLE IF EXISTS t_pqs");
   db.Execute("CREATE TABLE t_pqs (a INT, b STRING, c DOUBLE)");
@@ -88,14 +80,12 @@ CampaignResult PqsGen::Run(Database& db, const CampaignOptions& options) {
     } else {
       sql = "SELECT " + call;
     }
-    ExecuteAndRecord(db, sql, name(), result, found_ids, dedup_digest);
-    MaybeCheckpointBaseline(options, result, rng, dedup_digest);
+    recorder.Record(sql, rng.StateFingerprint());
     // The pivot-containment logic oracle itself finds no crash bugs by
     // construction; crash detection above is what counts here.
   }
 
-  result.functions_triggered = db.coverage().TriggeredFunctionCount();
-  result.branches_covered = db.coverage().CoveredBranchCount();
+  recorder.Finish();
   return result;
 }
 

@@ -8,8 +8,6 @@
 // which is exactly why it misses boundary-argument bugs (Section 7.5).
 #include "src/baselines/baselines.h"
 
-#include <set>
-
 #include "src/baselines/baseline_util.h"
 #include "src/sqlparser/parser.h"
 
@@ -67,14 +65,8 @@ void MaybeNest(Expr& e, Rng& rng, const FunctionRegistry& registry, int depth) {
 
 CampaignResult RandSmith::Run(Database& db, const CampaignOptions& options) {
   CampaignResult result;
-  result.tool = name();
-  result.dialect = db.config().name;
-  const telemetry::ScopedCollector telem(&result.telemetry);
-  const ScopedBaselineRecorders recorders(result, options);
+  CampaignRecorder recorder(result, name(), db, options);
   Rng rng(options.seed ^ 0x536d697468ull);
-  std::set<int> found_ids;
-  uint64_t dedup_digest = kDedupDigestSeed;
-  ApplyCampaignLimits(db, options);
 
   // Its own scratch table for FROM-clause clutter.
   db.Execute("CREATE TABLE t_rs (x INT, s STRING)");
@@ -137,12 +129,10 @@ CampaignResult RandSmith::Run(Database& db, const CampaignOptions& options) {
         sql += " LIMIT " + std::to_string(1 + rng.NextBelow(3));
       }
     }
-    ExecuteAndRecord(db, sql, name(), result, found_ids, dedup_digest);
-    MaybeCheckpointBaseline(options, result, rng, dedup_digest);
+    recorder.Record(sql, rng.StateFingerprint());
   }
 
-  result.functions_triggered = db.coverage().TriggeredFunctionCount();
-  result.branches_covered = db.coverage().CoveredBranchCount();
+  recorder.Finish();
   return result;
 }
 

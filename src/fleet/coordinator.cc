@@ -43,54 +43,6 @@ namespace {
 
 constexpr int kJournalRing = 16;  // recent journal lines kept for STATUS
 
-std::string JoinOracles(const std::vector<std::string>& oracles) {
-  std::string joined;
-  for (const std::string& name : oracles) {
-    if (!joined.empty()) {
-      joined += ',';
-    }
-    joined += name;
-  }
-  return joined;
-}
-
-// The unit campaign options a GRANT line describes — built identically by
-// the coordinator's degrade-to-local path and by RunFleetWorker's grant
-// parser, so a unit executes bit-identically wherever it lands. Note the
-// GRANT vocabulary is the determinism-relevant subset of CampaignOptions
-// (seed, budget, partition, stop rule, watchdog deadline, oracles, trace
-// sampling); checkpoint sinks are transport-local and fuel/row limits are
-// not shipped.
-ShardPlan UnitPlan(const CampaignOptions& base, int unit, int units,
-                   int heartbeat_every) {
-  ShardPlan plan;
-  plan.shard = unit;
-  plan.options.seed = base.seed;
-  plan.options.max_statements = base.max_statements;
-  plan.options.shard_index = unit;
-  plan.options.shard_count = units;
-  plan.options.stop_when_all_bugs_found = base.stop_when_all_bugs_found;
-  plan.options.statement_limits.deadline_ms = base.statement_limits.deadline_ms;
-  plan.options.trace_sample = base.trace_sample;
-  plan.options.logic_oracles = base.logic_oracles;
-  plan.options.checkpoint_every = heartbeat_every;
-  return plan;
-}
-
-std::string EncodeGrant(const CampaignOptions& base, const std::string& dialect,
-                        int unit, int units, int heartbeat_every,
-                        uint64_t campaign_base_ns) {
-  return "GRANT " + std::to_string(unit) + " " + std::to_string(units) + " " +
-         std::to_string(base.seed) + " " + std::to_string(base.max_statements) +
-         " " + wire::HexEncode(dialect) + " " +
-         std::to_string(base.stop_when_all_bugs_found ? 1 : 0) + " " +
-         std::to_string(base.statement_limits.deadline_ms) + " " +
-         std::to_string(base.trace_sample) + " " +
-         std::to_string(heartbeat_every) + " " +
-         std::to_string(campaign_base_ns) + " " +
-         wire::HexEncode(JoinOracles(base.logic_oracles));
-}
-
 // Serializes a completed unit's result block for the spool (the same wire
 // records the socket carries, '\n'-framed).
 std::string SpoolEncode(const ShardResult& outcome) {
@@ -391,6 +343,11 @@ class Coordinator {
   }
 
   // --- lease/grant ----------------------------------------------------------
+  std::string GrantLine(int unit) const {
+    return EncodeGrant(dialect_, UnitPlan(options_, unit, units_, fleet_.heartbeat_every),
+                       campaign_base_ns_);
+  }
+
   void TryGrant(Session& session) {
     Conn* conn = FindConn(session.conn);
     if (conn == nullptr || conn->dead || session.finished) {
@@ -412,10 +369,7 @@ class Coordinator {
       CloseConn(*conn, "lease_grant fault injected");
       return;
     }
-    if (!SessionWrite(session, EncodeGrant(options_, dialect_, unit, units_,
-                                           fleet_.heartbeat_every,
-                                           campaign_base_ns_))
-             .ok()) {
+    if (!SessionWrite(session, GrantLine(unit)).ok()) {
       CloseConn(*conn, "grant write failed");
     }
   }
@@ -440,10 +394,7 @@ class Coordinator {
       table_->Heartbeat(view.unit, session.worker, view.cases, now, lease_ns_);
       ++stats_.grants_redelivered;
       JournalNet("redeliver", "grant", session.token, session.worker, view.unit);
-      if (!SessionWrite(session,
-                        EncodeGrant(options_, dialect_, view.unit, units_,
-                                    fleet_.heartbeat_every, campaign_base_ns_))
-               .ok()) {
+      if (!SessionWrite(session, GrantLine(view.unit)).ok()) {
         if (Conn* conn = FindConn(session.conn)) {
           CloseConn(*conn, "grant redelivery write failed");
         }
@@ -1098,6 +1049,9 @@ class Coordinator {
   void RunRemainingLocally() {
     stats_.degraded_to_local = true;
     JournalLease("local", -1, -1, 0, 0);
+    // Every unit executes the campaign's one case pool.
+    const std::shared_ptr<const SoftCasePool> pool =
+        BuildSoftCasePool(dialect_, options_, SoftOptions());
     for (const LeaseView& view : table_->Snapshot()) {
       if (view.state == UnitState::kDone) {
         continue;
@@ -1105,7 +1059,7 @@ class Coordinator {
       const ShardPlan plan =
           UnitPlan(options_, view.unit, units_, fleet_.heartbeat_every);
       ShardResult outcome = ExecuteShardPlan(
-          [] { return std::unique_ptr<Fuzzer>(new SoftFuzzer()); },
+          [&pool] { return std::make_unique<SoftFuzzer>(SoftOptions(), pool); },
           [this] { return MakeDialect(dialect_); }, plan, WorkerOptions{},
           campaign_base_ns_);
       table_->ForceComplete(view.unit, -1);

@@ -18,6 +18,7 @@
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/wire.h"
 #include "src/util/io.h"
+#include "src/util/str_util.h"
 
 namespace soft {
 namespace fleet {
@@ -51,46 +52,6 @@ int ConnectWithBackoff(const FleetWorkerOptions& options) {
     }
   }
   return -1;
-}
-
-// The unit spec a GRANT line carries — everything needed to run the unit as
-// one case-partition shard, self-contained so external workers can attach.
-struct Grant {
-  int unit = 0;
-  int units = 1;
-  uint64_t seed = 0;
-  int budget = 0;
-  std::string dialect;
-  bool stop_all = false;
-  int timeout_ms = 0;
-  int trace_sample = 0;
-  int heartbeat_every = 0;
-  uint64_t campaign_base_ns = 0;
-  std::vector<std::string> oracles;
-};
-
-bool ParseGrant(const std::string& line, Grant& grant) {
-  std::istringstream in(line);
-  std::string tag, dialect_hex, oracles_hex;
-  uint64_t stop_all = 0;
-  if (!(in >> tag >> grant.unit >> grant.units >> grant.seed >> grant.budget >>
-        dialect_hex >> stop_all >> grant.timeout_ms >> grant.trace_sample >>
-        grant.heartbeat_every >> grant.campaign_base_ns >> oracles_hex)) {
-    return false;
-  }
-  grant.dialect = wire::HexDecode(dialect_hex);
-  grant.stop_all = stop_all != 0;
-  const std::string oracles = wire::HexDecode(oracles_hex);
-  size_t start = 0;
-  while (start < oracles.size()) {
-    const size_t comma = oracles.find(',', start);
-    const size_t end = comma == std::string::npos ? oracles.size() : comma;
-    if (end > start) {
-      grant.oracles.push_back(oracles.substr(start, end - start));
-    }
-    start = end + 1;
-  }
-  return grant.units > 0 && grant.unit >= 0 && grant.unit < grant.units;
 }
 
 // One live connection to the coordinator: the framed read side with
@@ -171,6 +132,59 @@ bool NextLine(WireConn& conn, wire::FramedWriter& writer, int read_timeout_ms,
 
 }  // namespace
 
+ShardPlan UnitPlan(const CampaignOptions& base, int unit, int units,
+                   int heartbeat_every) {
+  ShardPlan plan;
+  plan.shard = unit;
+  plan.options.seed = base.seed;
+  plan.options.max_statements = base.max_statements;
+  plan.options.shard_index = unit;
+  plan.options.shard_count = units;
+  plan.options.stop_when_all_bugs_found = base.stop_when_all_bugs_found;
+  plan.options.statement_limits.deadline_ms = base.statement_limits.deadline_ms;
+  plan.options.trace_sample = base.trace_sample;
+  plan.options.logic_oracles = base.logic_oracles;
+  plan.options.checkpoint_every = heartbeat_every;
+  return plan;
+}
+
+std::string EncodeGrant(const std::string& dialect, const ShardPlan& plan,
+                        uint64_t campaign_base_ns) {
+  const CampaignOptions& o = plan.options;
+  return "GRANT " + std::to_string(plan.shard) + " " + std::to_string(o.shard_count) +
+         " " + std::to_string(o.seed) + " " + std::to_string(o.max_statements) + " " +
+         wire::HexEncode(dialect) + " " +
+         std::to_string(o.stop_when_all_bugs_found ? 1 : 0) + " " +
+         std::to_string(o.statement_limits.deadline_ms) + " " +
+         std::to_string(o.trace_sample) + " " + std::to_string(o.checkpoint_every) + " " +
+         std::to_string(campaign_base_ns) + " " +
+         wire::HexEncode(Join(o.logic_oracles, ","));
+}
+
+bool DecodeGrant(const std::string& line, Grant& grant) {
+  std::istringstream in(line);
+  std::string tag, dialect_hex, oracles_hex;
+  int unit = 0, units = 0, heartbeat_every = 0;
+  uint64_t stop_all = 0;
+  CampaignOptions base;
+  if (!(in >> tag >> unit >> units >> base.seed >> base.max_statements >>
+        dialect_hex >> stop_all >> base.statement_limits.deadline_ms >>
+        base.trace_sample >> heartbeat_every >> grant.campaign_base_ns >>
+        oracles_hex) ||
+      tag != "GRANT") {
+    return false;
+  }
+  grant.dialect = wire::HexDecode(dialect_hex);
+  base.stop_when_all_bugs_found = stop_all != 0;
+  for (std::string& name : Split(wire::HexDecode(oracles_hex), ',')) {
+    if (!name.empty()) {
+      base.logic_oracles.push_back(std::move(name));
+    }
+  }
+  grant.plan = UnitPlan(base, unit, units, heartbeat_every);
+  return units > 0 && unit >= 0 && unit < units;
+}
+
 int RunFleetWorker(const FleetWorkerOptions& options) {
   // A dying coordinator must surface as clean EPIPE write errors, never as
   // SIGPIPE process death — the reconnect ladder depends on it.
@@ -187,6 +201,7 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
   int cached_unit = -1;
   std::vector<std::string> cached_lines;
   bool pending_resend = false;   // the cached delivery never fully went out
+  std::shared_ptr<const SoftCasePool> pool;  // the current campaign's cases
 
   // The cycle bound keeps a worker from reconnect-looping forever against a
   // coordinator that accepts and immediately drops (e.g. chaos-armed).
@@ -256,15 +271,17 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
         return 0;
       }
       Grant grant;
-      if (!ParseGrant(line, grant)) {
+      if (!DecodeGrant(line, grant)) {
         ::close(fd);
         return 1;
       }
+      ShardPlan& plan = grant.plan;
+      const int unit = plan.shard;
 
       // A redelivered GRANT for the unit we already ran: the coordinator
       // never saw (or lost) the result. Resend the cached block verbatim —
       // re-executing would merely produce the identical bytes slower.
-      if (grant.unit == cached_unit) {
+      if (unit == cached_unit) {
         bool sent = true;
         for (const std::string& cached : cached_lines) {
           if (!writer.WriteLine(cached).ok()) {
@@ -286,17 +303,6 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
       const bool partition_here =
           options.partition_at_unit == ordinal && !partition_done;
 
-      ShardPlan plan;
-      plan.shard = grant.unit;
-      plan.options.seed = grant.seed;
-      plan.options.max_statements = grant.budget;
-      plan.options.shard_index = grant.unit;
-      plan.options.shard_count = grant.units;
-      plan.options.stop_when_all_bugs_found = grant.stop_all;
-      plan.options.statement_limits.deadline_ms = grant.timeout_ms;
-      plan.options.trace_sample = grant.trace_sample;
-      plan.options.logic_oracles = grant.oracles;
-      plan.options.checkpoint_every = grant.heartbeat_every;
       // Heartbeats ride the campaign's checkpoint cadence. A failed send
       // marks the sink dead; the campaign continues (journal_degraded —
       // excluded from the unit digest) and the finished result is delivered
@@ -323,7 +329,7 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
           SleepMs(options.partition_ms);
         }
         return writer
-            .WriteLine("HB " + std::to_string(grant.unit) + " " +
+            .WriteLine("HB " + std::to_string(unit) + " " +
                        std::to_string(cp.cases_completed))
             .ok();
       };
@@ -335,18 +341,24 @@ int RunFleetWorker(const FleetWorkerOptions& options) {
         break;  // conn died before the unit started — nothing to cache
       }
 
-      const std::string dialect = grant.dialect;
+      // Every unit of one campaign executes the same case pool: build it at
+      // the campaign's first grant and keep it for the rest.
+      if (pool == nullptr ||
+          !pool->BuiltFor(grant.dialect, plan.options, SoftOptions())) {
+        pool = BuildSoftCasePool(grant.dialect, plan.options, SoftOptions());
+      }
+      const std::string& dialect = grant.dialect;
       ShardResult outcome = ExecuteShardPlan(
-          [] { return std::unique_ptr<Fuzzer>(new SoftFuzzer()); },
-          [dialect] { return MakeDialect(dialect); }, plan, WorkerOptions{},
+          [&pool] { return std::make_unique<SoftFuzzer>(SoftOptions(), pool); },
+          [&dialect] { return MakeDialect(dialect); }, plan, WorkerOptions{},
           grant.campaign_base_ns);
 
       // Cache, then deliver. The cache is the at-least-once side of the
       // exactly-once contract: whatever the network does to this delivery,
       // the bytes can always be produced again without re-execution.
-      cached_unit = grant.unit;
+      cached_unit = unit;
       cached_lines.clear();
-      cached_lines.push_back("UNIT " + std::to_string(grant.unit));
+      cached_lines.push_back("UNIT " + std::to_string(unit));
       wire::WriteResultBlock(
           [&](const std::string& record) {
             cached_lines.push_back(record);

@@ -25,13 +25,14 @@
 // coordinator pings idle connections, so a worker silent past the heartbeat
 // timeout is one that is genuinely unreachable, not merely between units.
 //
-// A GRANT line is a complete unit spec, so an external worker
-// (`find_bugs --fleet=attach`) needs nothing but the endpoint. The unit
-// executes as one case-partition shard via ExecuteShardPlan: shard_index =
+// A GRANT line is a complete unit spec (the codec below), so an external
+// worker (`find_bugs --fleet=attach`) needs nothing but the endpoint. The
+// unit executes as one case-partition shard via ExecuteShardPlan: shard_index =
 // unit, shard_count = units, base seed, full budget — exactly the plan a
 // `--shards=units` campaign would run, which is what makes the coordinator's
 // merge bit-identical to a sharded (and, for the bug inventory, the serial)
-// run at any worker count.
+// run at any worker count. The worker builds the campaign's case pool at its
+// first GRANT and reuses it for every later unit of the same campaign.
 //
 // Surviving the network: the WELCOME token names a *session* that outlives
 // any one connection. On socket loss the worker reconnects with bounded
@@ -52,10 +53,32 @@
 #ifndef SRC_FLEET_WORKER_CLIENT_H_
 #define SRC_FLEET_WORKER_CLIENT_H_
 
+#include <cstdint>
 #include <string>
+
+#include "src/soft/parallel_runner.h"
 
 namespace soft {
 namespace fleet {
+
+// The GRANT codec. The coordinator encodes, RunFleetWorker decodes, and both
+// build a unit's plan through UnitPlan: unit `unit` of `units` as one
+// case-partition shard of `base`, carrying the determinism-relevant subset
+// of CampaignOptions (seed, budget, partition, stop rule, watchdog deadline,
+// oracles, trace sampling) with heartbeats on the checkpoint cadence.
+ShardPlan UnitPlan(const CampaignOptions& base, int unit, int units,
+                   int heartbeat_every);
+
+struct Grant {
+  std::string dialect;
+  ShardPlan plan;
+  uint64_t campaign_base_ns = 0;  // MonotonicNowNs() at campaign start
+};
+
+std::string EncodeGrant(const std::string& dialect, const ShardPlan& plan,
+                        uint64_t campaign_base_ns);
+// False when `line` is malformed or names a unit outside [0, units).
+bool DecodeGrant(const std::string& line, Grant& grant);
 
 struct FleetWorkerOptions {
   // Exactly one of these addresses the coordinator (tcp_connect wins).

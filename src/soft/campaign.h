@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/database.h"
@@ -219,6 +221,49 @@ inline CampaignCheckpoint MakeCheckpoint(const CampaignOptions& options,
   cp.dedup_digest = dedup_digest;
   return cp;
 }
+
+// The statement bookkeeping every Fuzzer::Run shares, so SOFT and the three
+// baselines are counted by the same rules. For its lifetime it stamps
+// result.tool/dialect, installs the telemetry collector, span tracer and
+// (kReal) flight recorder on `result`, and applies the statement limits to
+// `db`. Per statement: Execute (flight entry, span, outcome counters,
+// first-witness FoundBug), then Close (span end, due checkpoint). SOFT runs
+// its logic oracles in between, while the span is open.
+class CampaignRecorder {
+ public:
+  CampaignRecorder(CampaignResult& result, std::string tool, Database& db,
+                   const CampaignOptions& options);
+  CampaignRecorder(const CampaignRecorder&) = delete;
+  CampaignRecorder& operator=(const CampaignRecorder&) = delete;
+
+  // `label` keys telemetry and spans and becomes FoundBug::found_by (SOFT:
+  // the pattern; baselines: the tool name).
+  StatementResult Execute(const std::string& sql, const std::string& label);
+  // "ok", "crash", "timeout", "resource_exhausted" or "sql_error".
+  std::string_view outcome() const { return outcome_; }
+  bool all_bugs_found() const { return found_ids_.size() >= expected_bugs_; }
+  // `rng_fingerprint` (Rng::StateFingerprint()) goes into the checkpoint. A
+  // failed sink or the campaign.checkpoint_sink failpoint latches
+  // result.journal_degraded; the campaign continues without checkpoints.
+  void Close(uint64_t rng_fingerprint);
+  // Execute + Close for a baseline's on-the-fly statement: generated ==
+  // executed, labelled with the tool name.
+  void Record(const std::string& sql, uint64_t rng_fingerprint);
+  // The closing coverage snapshot.
+  void Finish();
+
+ private:
+  CampaignResult& result_;
+  Database& db_;
+  const CampaignOptions& options_;
+  const telemetry::ScopedCollector collector_;
+  const trace::ScopedStatementTracer tracer_;
+  const trace::ScopedFlightRecorder flight_;
+  const size_t expected_bugs_;
+  std::set<int> found_ids_;
+  uint64_t dedup_digest_ = kDedupDigestSeed;
+  std::string_view outcome_ = "ok";
+};
 
 // Common interface so the comparison benches can run the four tools
 // uniformly.

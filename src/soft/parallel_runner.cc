@@ -100,7 +100,8 @@ ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
   const bool tracing = plan.options.trace_sample > 0;
   const uint64_t shard_start_ns =
       tracing ? telemetry::MonotonicNowNs() - campaign_base_ns : 0;
-  if (plan.options.crash_realism == CrashRealism::kReal) {
+  const bool in_process = plan.options.crash_realism != CrashRealism::kReal;
+  if (!in_process) {
     // Real crashes must not kill the campaign process: run the shard inside
     // supervised forked workers. Deterministic replay makes the returned
     // result bit-identical to the simulated in-process path.
@@ -109,36 +110,24 @@ ShardResult ExecuteShardPlan(const WorkerFuzzerFactory& make_fuzzer,
     outcome.result = std::move(worker.result);
     outcome.coverage = std::move(worker.coverage);
     outcome.stats = worker.stats;
-    for (FoundBug& bug : outcome.result.unique_bugs) {
-      bug.shard = plan.shard;
+  } else {
+    std::unique_ptr<Database> db = make_database();
+    std::unique_ptr<Fuzzer> fuzzer = make_fuzzer();
+    if (db == nullptr || fuzzer == nullptr) {
+      return outcome;
     }
-    for (FoundLogicBug& bug : outcome.result.logic_bugs) {
-      bug.shard = plan.shard;
-    }
-    if (tracing) {
-      AttachShardSpans(outcome.result, plan.shard, shard_start_ns,
-                       telemetry::MonotonicNowNs() - campaign_base_ns,
-                       /*in_process=*/false);
-    }
-    return outcome;
+    outcome.result = fuzzer->Run(*db, plan.options);
+    outcome.coverage = db->coverage();
   }
-  std::unique_ptr<Database> db = make_database();
-  std::unique_ptr<Fuzzer> fuzzer = make_fuzzer();
-  if (db == nullptr || fuzzer == nullptr) {
-    return outcome;
-  }
-  outcome.result = fuzzer->Run(*db, plan.options);
   for (FoundBug& bug : outcome.result.unique_bugs) {
     bug.shard = plan.shard;
   }
   for (FoundLogicBug& bug : outcome.result.logic_bugs) {
     bug.shard = plan.shard;
   }
-  outcome.coverage = db->coverage();
   if (tracing) {
     AttachShardSpans(outcome.result, plan.shard, shard_start_ns,
-                     telemetry::MonotonicNowNs() - campaign_base_ns,
-                     /*in_process=*/true);
+                     telemetry::MonotonicNowNs() - campaign_base_ns, in_process);
   }
   return outcome;
 }
@@ -263,14 +252,12 @@ CampaignResult MergeShardResults(std::vector<ShardResult> outcomes,
 
 CampaignResult ParallelCampaignRunner::Run(const CampaignOptions& options, int shards,
                                            ShardMode mode) const {
+  if (shards <= 1) {
+    return RunSerial(options, shards, mode);
+  }
   const std::vector<ShardPlan> plans = PlanShards(options, shards, mode);
   const uint64_t campaign_base_ns = telemetry::MonotonicNowNs();
   std::vector<ShardResult> outcomes(plans.size());
-  if (plans.size() == 1) {
-    outcomes[0] = ExecuteShardPlan(make_fuzzer_, make_database_, plans[0],
-                                   worker_options_, campaign_base_ns);
-    return MergeShardResults(std::move(outcomes), &worker_stats_);
-  }
   std::vector<std::thread> workers;
   workers.reserve(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {

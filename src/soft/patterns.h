@@ -38,6 +38,8 @@ struct PatternOptions {
   // Length bounds used by P3.1 (chosen to sweep across every dialect's
   // internal thresholds without exceeding engine limits).
   std::vector<int64_t> repeat_bounds = {16, 100, 2000, 6000, 120000, 400000, 1100000};
+
+  bool operator==(const PatternOptions&) const = default;
 };
 
 class PatternEngine {

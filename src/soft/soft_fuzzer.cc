@@ -5,7 +5,6 @@
 #include <set>
 
 #include "src/dialects/dialects.h"
-#include "src/failpoint/failpoint.h"
 #include "src/soft/expr_collection.h"
 #include "src/soft/logic_oracle.h"
 #include "src/soft/parallel_runner.h"
@@ -22,76 +21,46 @@ bool StatementIsSelect(const std::string& sql) {
   return parsed.ok() && parsed->is_select();
 }
 
+// Logic-bug oracle mode (CampaignOptions::logic_oracles); a forked kReal
+// worker cannot host the differential siblings.
+bool LogicMode(const CampaignOptions& options) {
+  return !options.logic_oracles.empty() &&
+         options.crash_realism == CrashRealism::kSimulated;
+}
+
 }  // namespace
 
-SoftFuzzer::SoftFuzzer(SoftOptions options) : soft_options_(std::move(options)) {}
+bool SoftCasePool::BuiltFor(const std::string& for_dialect,
+                            const CampaignOptions& options,
+                            const SoftOptions& for_soft_options) const {
+  return dialect == for_dialect && seed == options.seed &&
+         logic_mode == LogicMode(options) && soft_options == for_soft_options;
+}
 
-CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
-  CampaignResult result;
-  result.tool = name();
-  result.dialect = db.config().name;
-  // Campaign-scoped telemetry: stage latencies recorded by the engine and
-  // the per-pattern counters below land in result.telemetry. Observational
-  // only — no RNG draw or control-flow decision reads telemetry state, so
-  // results are bit-identical with recording on or off.
-  const telemetry::ScopedCollector telem(&result.telemetry);
-  // Span tracer (opt-in via trace_sample) and crash flight recorder (kReal
-  // campaigns only) — both strictly observational, like the collector.
-  const trace::ScopedStatementTracer tracer(
-      options.trace_sample > 0 ? &result.trace : nullptr, result.dialect,
-      options.shard_index, options.trace_sample);
-  const trace::ScopedFlightRecorder flight(options.crash_realism ==
-                                           CrashRealism::kReal);
-
-  const size_t expected_bugs = db.faults().bug_count();
-  Rng rng(options.seed);
-  db.set_statement_limits(options.statement_limits);
+std::shared_ptr<const SoftCasePool> BuildSoftCasePool(const Database& db,
+                                                      const CampaignOptions& options,
+                                                      const SoftOptions& soft_options) {
+  auto pool = std::make_shared<SoftCasePool>();
+  pool->dialect = db.config().name;
+  pool->seed = options.seed;
+  pool->logic_mode = LogicMode(options);
+  pool->soft_options = soft_options;
 
   // Step 1: function-expression collection (documentation + suite).
   const std::vector<std::string> suite = SeedSuiteFor(db.config().name);
-  const FunctionCorpus corpus = CollectCorpus(db, suite);
-
-  // Logic-bug oracle mode (CampaignOptions::logic_oracles). Oracles exist
-  // before the prerequisites run so the differential siblings replay them and
-  // start in lockstep with the campaign database.
-  const bool logic_mode = !options.logic_oracles.empty() &&
-                          options.crash_realism == CrashRealism::kSimulated;
-  std::vector<std::unique_ptr<LogicOracle>> oracles;
-  if (logic_mode) {
-    oracles = MakeLogicOracles(options.logic_oracles, result.dialect);
-  }
-  const auto observe_side_effect = [&](const std::string& sql) {
-    for (const std::unique_ptr<LogicOracle>& oracle : oracles) {
-      oracle->ObserveSideEffect(sql);
-    }
-  };
-
-  // Prerequisites: tables the suite queries depend on (Finding 4).
-  for (const std::string& prereq : corpus.prerequisites) {
-    db.Execute(prereq);
-    observe_side_effect(prereq);
-  }
-  if (logic_mode) {
-    for (const std::string& prereq : LogicOraclePrerequisites()) {
-      db.Execute(prereq);
-      observe_side_effect(prereq);
-    }
-    // Arm the seeded wrong-result corpus only now: every DDL/INSERT above ran
-    // clean, so stored rows are identical across the campaign database and
-    // the sibling engines.
-    db.set_logic_faults_enabled(true);
-  }
+  FunctionCorpus corpus = CollectCorpus(db, suite);
+  pool->prerequisites = std::move(corpus.prerequisites);
 
   // Step 2: pattern-based generation.
-  PatternEngine engine(db, options.seed, soft_options_.patterns);
-  if (soft_options_.extremes_only_pool) {
+  PatternEngine engine(db, options.seed, soft_options.patterns);
+  if (soft_options.extremes_only_pool) {
     engine.set_pool(GenerateExtremesOnlyPool());
   }
   std::vector<GeneratedCase> cases;
   // In logic mode the seeded wrong-result corpus's PoCs lead the case list,
   // so even small budgets exercise every LogicBugSpec (the injectable
   // ground-truth analogue of the crash corpus-replay prefix below).
-  if (logic_mode) {
+  if (pool->logic_mode) {
     for (const LogicBugSpec& spec : db.faults().AllLogicBugs()) {
       Result<std::string> poc = BuildLogicPocSql(db, spec);
       if (poc.ok()) {
@@ -109,46 +78,91 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
     cases.push_back(GeneratedCase{"SELECT " + expr, "seed"});
   }
   for (const std::string& expr : corpus.expressions) {
-    if (soft_options_.only_patterns.empty()) {
+    if (soft_options.only_patterns.empty()) {
       engine.GenerateAll(expr, corpus.expressions, cases);
     } else {
-      for (const std::string& pattern : soft_options_.only_patterns) {
+      for (const std::string& pattern : soft_options.only_patterns) {
         engine.GenerateOne(pattern, expr, corpus.expressions, cases);
       }
     }
   }
-  // Deduplicate by statement text (the patterns overlap on simple seeds),
-  // then shuffle so the statement budget samples all patterns and seeds
-  // uniformly (Fisher-Yates with the campaign RNG).
-  {
-    std::set<std::string> seen;
-    std::vector<GeneratedCase> unique_cases;
-    unique_cases.reserve(cases.size());
-    for (GeneratedCase& test_case : cases) {
-      if (seen.insert(test_case.sql).second) {
-        unique_cases.push_back(std::move(test_case));
-      }
+  // Deduplicate by statement text (the patterns overlap on simple seeds).
+  std::vector<GeneratedCase>& unique_cases = pool->cases;
+  std::set<std::string> seen;
+  unique_cases.reserve(cases.size());
+  for (GeneratedCase& test_case : cases) {
+    if (seen.insert(test_case.sql).second) {
+      unique_cases.push_back(std::move(test_case));
     }
-    cases = std::move(unique_cases);
   }
+  seen.clear();
   // Keep the corpus-replay prefix in place; shuffle only the generated tail
-  // so the budget samples patterns and seeds uniformly.
+  // so the budget samples patterns and seeds uniformly (Fisher-Yates with
+  // the campaign RNG).
   size_t first_generated = 0;
-  while (first_generated < cases.size() &&
-         (cases[first_generated].pattern == "seed" ||
-          cases[first_generated].pattern == "logic-seed")) {
+  while (first_generated < unique_cases.size() &&
+         (unique_cases[first_generated].pattern == "seed" ||
+          unique_cases[first_generated].pattern == "logic-seed")) {
     ++first_generated;
   }
-  for (size_t i = cases.size(); i > first_generated + 1; --i) {
+  Rng rng(options.seed);
+  for (size_t i = unique_cases.size(); i > first_generated + 1; --i) {
     const size_t j = first_generated + rng.NextBelow(i - first_generated);
-    std::swap(cases[i - 1], cases[j]);
+    std::swap(unique_cases[i - 1], unique_cases[j]);
+  }
+  pool->rng_fingerprint = rng.StateFingerprint();
+  return pool;
+}
+
+std::shared_ptr<const SoftCasePool> BuildSoftCasePool(const std::string& dialect,
+                                                      const CampaignOptions& options,
+                                                      const SoftOptions& soft_options) {
+  const std::unique_ptr<Database> db = MakeDialect(dialect);
+  return db != nullptr ? BuildSoftCasePool(*db, options, soft_options) : nullptr;
+}
+
+SoftFuzzer::SoftFuzzer(SoftOptions options, std::shared_ptr<const SoftCasePool> pool)
+    : soft_options_(std::move(options)), pool_(std::move(pool)) {}
+
+CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
+  CampaignResult result;
+  CampaignRecorder recorder(result, name(), db, options);
+  const std::shared_ptr<const SoftCasePool> pool =
+      pool_ != nullptr && pool_->BuiltFor(result.dialect, options, soft_options_)
+          ? pool_
+          : BuildSoftCasePool(db, options, soft_options_);
+  const std::vector<GeneratedCase>& cases = pool->cases;
+
+  // Oracles exist before the prerequisites run so the differential siblings
+  // replay them and start in lockstep with the campaign database.
+  std::vector<std::unique_ptr<LogicOracle>> oracles;
+  if (pool->logic_mode) {
+    oracles = MakeLogicOracles(options.logic_oracles, result.dialect);
+  }
+  const auto observe_side_effect = [&](const std::string& sql) {
+    for (const std::unique_ptr<LogicOracle>& oracle : oracles) {
+      oracle->ObserveSideEffect(sql);
+    }
+  };
+
+  // Prerequisites: tables the suite queries depend on (Finding 4).
+  for (const std::string& prereq : pool->prerequisites) {
+    db.Execute(prereq);
+    observe_side_effect(prereq);
+  }
+  if (pool->logic_mode) {
+    for (const std::string& prereq : LogicOraclePrerequisites()) {
+      db.Execute(prereq);
+      observe_side_effect(prereq);
+    }
+    // Arm the seeded wrong-result corpus only now: every DDL/INSERT above ran
+    // clean, so stored rows are identical across the campaign database and
+    // the sibling engines.
+    db.set_logic_faults_enabled(true);
   }
 
-  // Per-pattern pool census (aggregated locally so the hook fires once per
-  // pattern, not once per case). In partition-sharded runs every shard
-  // generates this full pool, so merged `generated` counts are K× the
-  // serial pool — the partition mode's redundant-generation cost, made
-  // visible.
+  // Per-pattern pool census, one hook call per pattern. Every partition
+  // shard counts the full pool, so merged `generated` counts are K× serial.
   if (telemetry::CollectorInstalled()) {
     std::map<std::string, uint64_t> pool_census;
     for (const GeneratedCase& test_case : cases) {
@@ -159,82 +173,26 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
     }
   }
 
-  // Step 3: execution and crash detection. A case-partitioned shard
-  // (options.shard_count > 1, see campaign.h) executes the interleave of the
-  // global case order: indices below the budget with
-  // index % shard_count == shard_index. The serial campaign is the
-  // shard_count == 1 special case of the same loop, so the union over K
-  // shards is exactly the serial campaign's executed prefix.
-  const size_t shard_count = options.shard_count > 1
-                                 ? static_cast<size_t>(options.shard_count)
-                                 : size_t{1};
-  const size_t shard_index =
-      options.shard_index > 0 ? static_cast<size_t>(options.shard_index) : size_t{0};
-  const size_t budget = options.max_statements > 0
-                            ? static_cast<size_t>(options.max_statements)
-                            : size_t{0};
-  std::set<int> found_ids;
+  // Step 3: execution and crash detection. A case-partitioned shard (see
+  // campaign.h) executes the global case indices below the budget with
+  // index % shard_count == shard_index; serial is shard_count == 1, so the
+  // union over K shards is exactly the serial campaign's executed prefix.
+  const size_t shard_count = static_cast<size_t>(std::max(options.shard_count, 1));
+  const size_t shard_index = static_cast<size_t>(std::max(options.shard_index, 0));
+  const size_t budget = static_cast<size_t>(std::max(options.max_statements, 0));
   std::set<int> logic_found_ids;
-  uint64_t dedup_digest = kDedupDigestSeed;
   for (size_t case_index = shard_index;
        case_index < cases.size() && case_index < budget; case_index += shard_count) {
     const GeneratedCase& test_case = cases[case_index];
-    ++result.statements_executed;
-    telemetry::CountExecuted(test_case.pattern);
-    // Flight ring entry and (sampled) statement span open before Execute:
-    // a real-signal crash inside Execute leaves exactly this context for the
-    // announcement to flush.
-    trace::FlightBeginStatement(result.statements_executed, test_case.pattern,
-                                test_case.sql);
-    trace::BeginStatement(result.statements_executed, test_case.pattern);
-    const StatementResult r = db.Execute(test_case.sql);
-    bool stop = false;
-    std::string_view outcome = "ok";
-    if (r.crashed()) {
-      outcome = "crash";
-      ++result.crashes_observed;
-      telemetry::CountCrash(test_case.pattern);
-      trace::AnnotateStatement("bug_id", std::to_string(r.crash->bug_id));
-      if (found_ids.insert(r.crash->bug_id).second) {
-        telemetry::CountBugDeduped(test_case.pattern);
-        dedup_digest = DedupDigestStep(dedup_digest, r.crash->bug_id);
-        trace::AnnotateStatement("first_witness", "1");
-        FoundBug bug;
-        bug.crash = *r.crash;
-        bug.poc_sql = test_case.sql;
-        bug.found_by = test_case.pattern;
-        bug.statements_until_found = result.statements_executed;
-        bug.found_wall_ns =
-            static_cast<int64_t>(telemetry::WallSinceCollectorStartNs());
-        bug.wall_recorded = telemetry::CollectorInstalled();
-        result.unique_bugs.push_back(std::move(bug));
-      }
-      stop = options.stop_when_all_bugs_found && found_ids.size() >= expected_bugs;
-    } else if (r.status.code() == StatusCode::kTimeout) {
-      // The statement watchdog killed the query at its deadline: a clean
-      // termination, counted separately from crashes and false positives.
-      outcome = "timeout";
-      ++result.watchdog_timeouts;
-      telemetry::CountTimeout(test_case.pattern);
-    } else if (r.status.code() == StatusCode::kResourceExhausted) {
-      // The server killed the query on a resource limit: initially flagged
-      // as a crash by the detector, later triaged as a false positive
-      // (Section 7.3's REPEAT('a', 9999999999) class).
-      outcome = "resource_exhausted";
-      ++result.false_positives;
-      telemetry::CountFalsePositive(test_case.pattern);
-    } else if (!r.ok()) {
-      outcome = "sql_error";
-      ++result.sql_errors;
-      telemetry::CountSqlError(test_case.pattern);
-    }
-    // Logic-oracle examination: successful SELECTs are compared for
-    // wrong-result divergence; successful writes are mirrored into the
-    // differential siblings so they stay in lockstep with this shard's
-    // database. Verdicts come exclusively from result comparison —
-    // r.logic_hits is ground truth consulted only AFTER an oracle flags,
-    // to separate attributed bugs from false positives.
-    if (!oracles.empty() && outcome == "ok") {
+    const StatementResult r = recorder.Execute(test_case.sql, test_case.pattern);
+    const bool stop = options.stop_when_all_bugs_found && r.crashed() &&
+                      recorder.all_bugs_found();
+    // Logic oracles compare successful SELECTs for wrong-result divergence
+    // and mirror successful writes into the differential siblings. Verdicts
+    // come from result comparison alone; r.logic_hits (ground truth) is read
+    // only after an oracle flags, to tell attributed bugs from false
+    // positives.
+    if (!oracles.empty() && recorder.outcome() == "ok") {
       // Oracle re-executions happen while this statement's trace span is
       // open; the scoped guard suppresses their stage spans so the traced
       // pipeline stays the statement's own (and span IDs stay unique per
@@ -286,22 +244,7 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
       }();
       trace::AnnotateStatement("oracle_verdict", verdict);
     }
-    trace::EndStatement(outcome);
-    trace::FlightEndStatement(outcome);
-    if (options.checkpoint_every > 0 && options.checkpoint_sink &&
-        !result.journal_degraded &&
-        result.statements_executed % options.checkpoint_every == 0) {
-      // campaign.checkpoint_sink: chaos campaigns kill the sink here to
-      // prove the run continues (degraded, not dead) with an identical
-      // campaign outcome.
-      const bool sink_ok =
-          !SOFT_FAILPOINT_HIT("campaign.checkpoint_sink") &&
-          options.checkpoint_sink(
-              MakeCheckpoint(options, result, rng.StateFingerprint(), dedup_digest));
-      if (!sink_ok) {
-        result.journal_degraded = true;
-      }
-    }
+    recorder.Close(pool->rng_fingerprint);
     if (stop) {
       break;
     }
@@ -316,17 +259,20 @@ CampaignResult SoftFuzzer::Run(Database& db, const CampaignOptions& options) {
                                                   : a.info.bug_id < b.info.bug_id;
             });
 
-  result.functions_triggered = db.coverage().TriggeredFunctionCount();
-  result.branches_covered = db.coverage().CoveredBranchCount();
+  recorder.Finish();
   return result;
 }
 
 CampaignResult RunShardedSoftCampaign(const std::string& dialect,
                                       const CampaignOptions& options, int shards,
                                       SoftOptions soft_options, ShardMode mode) {
+  std::shared_ptr<const SoftCasePool> pool;
+  if (mode == ShardMode::kPartitionCases) {
+    pool = BuildSoftCasePool(dialect, options, soft_options);
+  }
   return RunShardedCampaign(
-      [soft_options] { return std::make_unique<SoftFuzzer>(soft_options); }, dialect,
-      options, shards, mode);
+      [soft_options, pool] { return std::make_unique<SoftFuzzer>(soft_options, pool); },
+      dialect, options, shards, mode);
 }
 
 }  // namespace soft

@@ -44,7 +44,9 @@ Result<Value> FnDateAdd(FunctionContext& ctx, const ValueList& args) {
 Result<Value> FnDateSub(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(Date d, ArgDate(ctx, args[0]));
   SOFT_ASSIGN_OR_RETURN(int64_t days, ctx.ArgInt(args[1]));
-  const Result<Date> out = AddDays(d, -days);
+  // Negated in unsigned arithmetic: -INT64_MIN wraps to itself.
+  const Result<Date> out =
+      AddDays(d, static_cast<int64_t>(0 - static_cast<uint64_t>(days)));
   if (!out.ok()) {
     ctx.Cover(1);
     return Value::Null();
@@ -203,7 +205,9 @@ Result<Value> FnToDays(FunctionContext& ctx, const ValueList& args) {
 
 Result<Value> FnFromDays(FunctionContext& ctx, const ValueList& args) {
   SOFT_ASSIGN_OR_RETURN(int64_t n, ctx.ArgInt(args[0]));
-  const Result<Date> d = DayNumberToDate(n - 719528);
+  // Two's-complement wrap near INT64_MIN, computed in unsigned arithmetic.
+  const Result<Date> d =
+      DayNumberToDate(static_cast<int64_t>(static_cast<uint64_t>(n) - 719528u));
   if (!d.ok()) {
     ctx.Cover(1);
     return Value::Null();

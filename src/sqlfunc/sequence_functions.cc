@@ -14,7 +14,10 @@ Result<Value> FnNextval(FunctionContext& ctx, const ValueList& args) {
     return InvalidArgument("sequence name must not be empty");
   }
   SessionState* session = ctx.session();
-  const int64_t next = ++session->sequences[name];
+  // NEXTVAL past INT64_MAX wraps (unsigned arithmetic) instead of overflowing.
+  int64_t& value = session->sequences[name];
+  value = static_cast<int64_t>(static_cast<uint64_t>(value) + 1u);
+  const int64_t next = value;
   session->last_sequence_value = next;
   return Value::Int(next);
 }

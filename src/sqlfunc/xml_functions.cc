@@ -147,7 +147,9 @@ Result<std::vector<XPathStep>> ParseXPath(std::string_view path) {
         if (std::isdigit(static_cast<unsigned char>(path[i])) == 0) {
           return InvalidArgument("non-numeric index in XPath");
         }
-        step.index = step.index * 10 + (path[i] - '0');
+        // A long digit run wraps (unsigned arithmetic) instead of overflowing.
+        step.index = static_cast<int>(static_cast<unsigned>(step.index) * 10u +
+                                      static_cast<unsigned>(path[i] - '0'));
       }
       pos = close + 1;
     }

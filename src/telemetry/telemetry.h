@@ -141,9 +141,8 @@ struct LatencyHistogram {
 // Per-pattern (P1.1–P3.3 for SOFT, tool name for the baselines, "seed" for
 // the corpus-replay prefix) campaign counters. All counts are statement
 // events except `generated`, which counts cases placed into the generation
-// pool (in partition-sharded runs every shard generates the full pool, so
-// the merged `generated` is K× the serial pool — real redundant work, worth
-// seeing).
+// pool (in partition-sharded runs every shard counts the full shared pool,
+// so the merged `generated` is K× the serial pool).
 struct PatternCounters {
   uint64_t generated = 0;
   uint64_t executed = 0;

@@ -3,8 +3,13 @@
 // while SOFT finds many, and SOFT covers more functions and branches.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "src/baselines/comparison.h"
 #include "src/dialects/dialects.h"
+#include "src/soft/chaos.h"
 
 namespace soft {
 namespace {
@@ -104,6 +109,50 @@ TEST(Comparison, SupportMatrixMatchesTable5) {
   for (const std::string& dialect : AllDialectNames()) {
     EXPECT_TRUE(ToolSupportsDialect("SOFT", dialect));
   }
+}
+
+// Outcome digests and one checkpoint stream of the three baselines on
+// PostgreSQL, pinned by running them on the statement loop the baselines kept
+// before CampaignRecorder replaced it; the shared recorder must count every
+// statement exactly as that loop did.
+std::string Hex(uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(value));
+  return buf;
+}
+
+CampaignResult RunPinnedBaseline(const std::string& tool, CampaignOptions options) {
+  auto db = MakeDialect("postgresql");
+  options.seed = 1;
+  options.max_statements = 5000;
+  return MakeTool(tool)->Run(*db, options);
+}
+
+TEST(PinnedBaseline, OutcomeDigestsArePinned) {
+  EXPECT_EQ(Hex(DigestCampaignResult(RunPinnedBaseline("SQUIRREL*", {}))),
+            "0x1c30b66a9b4f9c15");
+  EXPECT_EQ(Hex(DigestCampaignResult(RunPinnedBaseline("SQLancer*", {}))),
+            "0x32c3b320f63617d3");
+  EXPECT_EQ(Hex(DigestCampaignResult(RunPinnedBaseline("SQLsmith*", {}))),
+            "0x50a21c0b95a47d33");
+}
+
+TEST(PinnedBaseline, CheckpointStreamIsPinned) {
+  CampaignOptions options;
+  options.checkpoint_every = 1250;
+  std::vector<std::string> stream;
+  options.checkpoint_sink = [&stream](const CampaignCheckpoint& cp) {
+    stream.push_back(std::to_string(cp.cases_completed) + " " + Hex(cp.rng_fingerprint) +
+                     " " + Hex(cp.dedup_digest));
+    return true;
+  };
+  RunPinnedBaseline("SQLsmith*", options);
+  EXPECT_EQ(stream, (std::vector<std::string>{
+                        "1250 0x6862a261e9f16fa5 0xcbf29ce484222325",
+                        "2500 0xc242ddfacc63ec5a 0xcbf29ce484222325",
+                        "3750 0x343fb9b57c5c6851 0xcbf29ce484222325",
+                        "5000 0x9b91e11764422a15 0xcbf29ce484222325",
+                    }));
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "src/failpoint/failpoint.h"
 #include "src/fleet/coordinator.h"
 #include "src/fleet/lease.h"
+#include "src/fleet/worker_client.h"
 #include "src/soft/chaos.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/wire.h"
@@ -205,6 +206,48 @@ TEST(FleetWire, TornBlockNeverParsesAsComplete) {
 // ---------------------------------------------------------------------------
 // Socket campaigns: digest parity, chaos, degrade, resume
 // ---------------------------------------------------------------------------
+
+// The GRANT codec: a unit plan with oracles, a stop rule and a watchdog
+// deadline survives encode → decode field for field, so a worker runs the
+// exact plan the coordinator's degrade-to-local path would.
+TEST(FleetGrant, EncodeDecodeRoundTripsTheUnitPlan) {
+  CampaignOptions base;
+  base.seed = 0xFEEDFACECAFEBEEFull;
+  base.max_statements = 123457;
+  base.stop_when_all_bugs_found = true;
+  base.statement_limits.deadline_ms = 250;
+  base.trace_sample = 7;
+  base.logic_oracles = {"eet", "diff", "tlp"};
+  const ShardPlan plan = UnitPlan(base, 5, 16, 300);
+  const std::string dialect = "virtuoso db \"x\"";
+  const uint64_t base_ns = 0xFFFFFFFFFFFFFFFFull;
+
+  Grant grant;
+  ASSERT_TRUE(DecodeGrant(EncodeGrant(dialect, plan, base_ns), grant));
+  EXPECT_EQ(grant.dialect, dialect);
+  EXPECT_EQ(grant.campaign_base_ns, base_ns);
+  const CampaignOptions& got = grant.plan.options;
+  EXPECT_EQ(grant.plan.shard, 5);
+  EXPECT_EQ(got.seed, plan.options.seed);
+  EXPECT_EQ(got.max_statements, plan.options.max_statements);
+  EXPECT_EQ(got.shard_index, 5);
+  EXPECT_EQ(got.shard_count, 16);
+  EXPECT_TRUE(got.stop_when_all_bugs_found);
+  EXPECT_EQ(got.statement_limits.deadline_ms, 250);
+  EXPECT_EQ(got.trace_sample, 7);
+  EXPECT_EQ(got.logic_oracles, plan.options.logic_oracles);
+  EXPECT_EQ(got.checkpoint_every, 300);
+  EXPECT_EQ(got.crash_realism, plan.options.crash_realism);
+  EXPECT_FALSE(got.checkpoint_sink);
+
+  // No oracles encodes as an empty list; a unit outside [0, units) and a
+  // truncated line are rejected.
+  Grant plain;
+  ASSERT_TRUE(DecodeGrant(EncodeGrant("duckdb", UnitPlan({}, 0, 1, 0), 0), plain));
+  EXPECT_TRUE(plain.plan.options.logic_oracles.empty());
+  EXPECT_FALSE(DecodeGrant(EncodeGrant("duckdb", UnitPlan({}, 4, 4, 0), 0), plain));
+  EXPECT_FALSE(DecodeGrant("GRANT 0 1 7", plain));
+}
 
 TEST(FleetCampaign, DigestMatchesShardedReferenceAtAnyWorkerCount) {
   const CampaignResult reference = ShardedReference();

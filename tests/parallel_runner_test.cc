@@ -7,10 +7,15 @@
 // per-thread-instance model; see README "Parallel campaigns".
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/dialects/dialects.h"
+#include "src/soft/chaos.h"
 #include "src/soft/parallel_runner.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/util/rng.h"
@@ -196,6 +201,47 @@ TEST(ParallelCampaign, PartitionParallelRunMatchesSerialShardSum) {
   EXPECT_EQ(parallel.shards, 4);
 }
 
+// Partition shards sharing one prebuilt case pool (RunShardedSoftCampaign's
+// path) run concurrently against the read-only pool and still match the
+// sequential shard sum of shards that each built their own.
+TEST(ParallelCampaign, SharedPoolPartitionRunMatchesSerialShardSum) {
+  CampaignOptions options;
+  options.seed = 9;
+  options.max_statements = 6000;
+  const std::shared_ptr<const SoftCasePool> pool =
+      BuildSoftCasePool("clickhouse", options, SoftOptions());
+  ASSERT_NE(pool, nullptr);
+  const ParallelCampaignRunner shared(
+      [pool] { return std::make_unique<SoftFuzzer>(SoftOptions(), pool); },
+      [] { return MakeDialect("clickhouse"); });
+  const CampaignResult parallel = shared.Run(options, 4, ShardMode::kPartitionCases);
+  const CampaignResult serial =
+      SoftRunner("clickhouse").RunSerial(options, 4, ShardMode::kPartitionCases);
+  ExpectBitIdentical(parallel, serial);
+  EXPECT_EQ(DigestCampaignResult(parallel), DigestCampaignResult(serial));
+}
+
+// A pool is only used by the campaign it was built for: handed to a Run with
+// another seed, it is ignored and the Run builds its own.
+TEST(ParallelCampaign, MismatchedPoolNeverChangesACampaign) {
+  CampaignOptions seed1;
+  seed1.seed = 1;
+  seed1.max_statements = 3000;
+  CampaignOptions seed2 = seed1;
+  seed2.seed = 2;
+  const std::shared_ptr<const SoftCasePool> pool =
+      BuildSoftCasePool("virtuoso", seed1, SoftOptions());
+  ASSERT_NE(pool, nullptr);
+  EXPECT_TRUE(pool->BuiltFor("virtuoso", seed1, SoftOptions()));
+  EXPECT_FALSE(pool->BuiltFor("virtuoso", seed2, SoftOptions()));
+
+  auto fresh_db = MakeDialect("virtuoso");
+  const CampaignResult fresh = SoftFuzzer().Run(*fresh_db, seed2);
+  auto pooled_db = MakeDialect("virtuoso");
+  const CampaignResult pooled = SoftFuzzer(SoftOptions(), pool).Run(*pooled_db, seed2);
+  EXPECT_EQ(DigestCampaignResult(pooled), DigestCampaignResult(fresh));
+}
+
 // The merged witness for each bug must carry the lowest
 // (shard, statements_until_found) pair among all shard witnesses, making
 // found_by attribution independent of which thread finished first.
@@ -227,6 +273,88 @@ TEST(ParallelCampaign, MergeKeepsLowestWitnessPerBug) {
     }
   }
   EXPECT_EQ(merged_ids, union_ids);
+}
+
+// Outcome digests (DigestCampaignResult) pinned by running each campaign on
+// the SoftFuzzer::Run that still built its case pool and counted its
+// statements inline. The refactored pipeline (shared SoftCasePool,
+// CampaignRecorder) must reproduce every one of them exactly.
+std::string Hex(uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(value));
+  return buf;
+}
+
+CampaignOptions PinnedOptions(int budget) {
+  CampaignOptions options;
+  options.seed = 1;
+  options.max_statements = budget;
+  return options;
+}
+
+struct PinnedCampaign {
+  std::string name;
+  std::function<CampaignResult()> run;
+  std::string digest;
+};
+
+void PrintTo(const PinnedCampaign& campaign, std::ostream* os) { *os << campaign.name; }
+
+class PinnedCampaignTest : public testing::TestWithParam<PinnedCampaign> {};
+
+TEST_P(PinnedCampaignTest, OutcomeDigestIsPinned) {
+  EXPECT_EQ(Hex(DigestCampaignResult(GetParam().run())), GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Campaigns, PinnedCampaignTest,
+    testing::Values(
+        PinnedCampaign{"VirtuosoSerial",
+                       [] {
+                         auto db = MakeDialect("virtuoso");
+                         return SoftFuzzer().Run(*db, PinnedOptions(6000));
+                       },
+                       "0xe698406c44ddd40a"},
+        PinnedCampaign{"VirtuosoFourPartitionShards",
+                       [] { return RunShardedSoftCampaign("virtuoso", PinnedOptions(6000), 4); },
+                       "0x520a7ce471ac326a"},
+        PinnedCampaign{"VirtuosoTwoSplitBudgetShards",
+                       [] {
+                         return RunShardedSoftCampaign("virtuoso", PinnedOptions(6000), 2,
+                                                       SoftOptions(),
+                                                       ShardMode::kSplitBudget);
+                       },
+                       "0x48ca5a2665bf8d43"},
+        PinnedCampaign{"DuckdbLogicMode",
+                       [] {
+                         CampaignOptions options = PinnedOptions(2000);
+                         options.logic_oracles = {"all"};
+                         auto db = MakeDialect("duckdb");
+                         return SoftFuzzer().Run(*db, options);
+                       },
+                       "0x8657b023c5170e9c"}),
+    [](const testing::TestParamInfo<PinnedCampaign>& info) { return info.param.name; });
+
+// The checkpoint stream of a SOFT campaign, pinned the same way: the
+// fingerprint is the campaign RNG after the pool shuffle, so journals written
+// before the pool split still --resume.
+TEST(PinnedCampaign, SoftCheckpointStreamIsPinned) {
+  CampaignOptions options = PinnedOptions(6000);
+  options.checkpoint_every = 1500;
+  std::vector<std::string> stream;
+  options.checkpoint_sink = [&stream](const CampaignCheckpoint& cp) {
+    stream.push_back(std::to_string(cp.cases_completed) + " " + Hex(cp.rng_fingerprint) +
+                     " " + Hex(cp.dedup_digest));
+    return true;
+  };
+  auto db = MakeDialect("virtuoso");
+  SoftFuzzer().Run(*db, options);
+  EXPECT_EQ(stream, (std::vector<std::string>{
+                        "1500 0x436d712e98fbb15c 0x98a37eb6ffc92b59",
+                        "3000 0x436d712e98fbb15c 0x4497b34164874a78",
+                        "4500 0x436d712e98fbb15c 0xf3a318d8ef98628d",
+                        "6000 0x436d712e98fbb15c 0x14eb01c5f73e123f",
+                    }));
 }
 
 }  // namespace

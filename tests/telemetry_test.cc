@@ -149,7 +149,7 @@ TEST(TelemetryCampaignTest, CountersReconcileWithCampaignResult) {
 }
 
 // Partition-sharded counters match the serial campaign's except `generated`:
-// every shard generates the full pool, so merged generation is exactly K×.
+// every shard counts the full shared pool, so merged generation is exactly K×.
 TEST(TelemetryCampaignTest, PartitionShardCountersMatchSerialExceptGenerated) {
   const CampaignOptions options = TestOptions(11, 4000);
   const int kShards = 4;
