@@ -16,8 +16,11 @@ namespace {
 // level, threaded as the `depth` parameter) and SELECT nesting (charged to
 // the member counter `depth_used_` below, so it survives the `ParseExpr(0)`
 // resets at clause boundaries — parenthesized selects, subqueries, and
-// UNION chains all recurse through ParseSelect).
-constexpr int kMaxParseDepth = 4000;
+// UNION chains all recurse through ParseSelect). One parenthesized level
+// costs 7 units, so 2400 admits ~340 levels: about 0.7 MB of stack in an
+// optimized build and under 5 MB with AddressSanitizer plus UBSan, inside
+// the usual 8 MB main-thread stack either way.
+constexpr int kMaxParseDepth = 2400;
 
 // One SELECT level costs this much of the shared budget: descending into a
 // subquery stacks the full precedence chain plus the select-clause
@@ -439,12 +442,18 @@ class Parser {
     return lhs;
   }
 
+  // A run of NOTs is consumed in a loop, not by recursion, so its length
+  // costs no stack; each NOT still counts one unit of nesting depth.
   Result<ExprPtr> ParseNot(int depth) {
-    if (ConsumeKeyword("NOT")) {
-      SOFT_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot(depth + 1));
-      return MakeUnaryOp("NOT", std::move(operand));
+    int nots = 0;
+    while (ConsumeKeyword("NOT")) {
+      ++nots;
     }
-    return ParseComparison(depth);
+    SOFT_ASSIGN_OR_RETURN(ExprPtr expr, ParseComparison(depth + nots));
+    for (; nots > 0; --nots) {
+      expr = MakeUnaryOp("NOT", std::move(expr));
+    }
+    return expr;
   }
 
   Result<ExprPtr> ParseComparison(int depth) {
@@ -478,89 +487,156 @@ class Parser {
 
   Result<ExprPtr> ParseAdditive(int depth) {
     SOFT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative(depth + 1));
-    for (;;) {
-      std::string op;
-      if (Peek().IsOp("+")) {
-        op = "+";
-      } else if (Peek().IsOp("-")) {
-        op = "-";
-      } else if (Peek().IsOp("||")) {
-        op = "||";
-      } else {
-        return lhs;
-      }
-      Advance();
+    while (Peek().IsOp("+") || Peek().IsOp("-") || Peek().IsOp("||")) {
+      const std::string op = Advance().text;
       SOFT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative(depth + 1));
       lhs = MakeBinaryOp(op, std::move(lhs), std::move(rhs));
     }
+    return lhs;
   }
 
   Result<ExprPtr> ParseMultiplicative(int depth) {
     SOFT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary(depth + 1));
-    for (;;) {
-      std::string op;
-      if (Peek().IsOp("*")) {
-        op = "*";
-      } else if (Peek().IsOp("/")) {
-        op = "/";
-      } else if (Peek().IsOp("%")) {
-        op = "%";
-      } else {
-        return lhs;
-      }
-      Advance();
+    while (Peek().IsOp("*") || Peek().IsOp("/") || Peek().IsOp("%")) {
+      const std::string op = Advance().text;
       SOFT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary(depth + 1));
       lhs = MakeBinaryOp(op, std::move(lhs), std::move(rhs));
     }
+    return lhs;
   }
 
+  // Like NOT, a run of signs is consumed in a loop and applied innermost
+  // first; each sign counts one unit of nesting depth.
   Result<ExprPtr> ParseUnary(int depth) {
-    if (Peek().IsOp("-")) {
-      Advance();
-      SOFT_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary(depth + 1));
-      // Fold negation into numeric literals so "-0.99999" is one literal.
-      if (operand->kind == ExprKind::kLiteral && operand->literal.is_numeric()) {
-        const Value& v = operand->literal;
-        switch (v.kind()) {
-          case TypeKind::kInt:
-            return MakeLiteral(Value::Int(-v.int_value()));
-          case TypeKind::kDouble:
-            return MakeLiteral(Value::DoubleVal(-v.double_value()));
-          case TypeKind::kDecimal:
-            return MakeLiteral(Value::Dec(v.decimal_value().Negated()));
-          default:
-            break;
-        }
+    std::string signs;
+    while (Peek().IsOp("-") || Peek().IsOp("+")) {
+      signs += Advance().text;
+    }
+    SOFT_ASSIGN_OR_RETURN(ExprPtr expr,
+                          ParsePostfix(depth + static_cast<int>(signs.size())));
+    for (auto sign = signs.rbegin(); sign != signs.rend(); ++sign) {
+      if (*sign == '-') {
+        expr = Negate(std::move(expr));
       }
-      return MakeUnaryOp("-", std::move(operand));
     }
-    if (Peek().IsOp("+")) {
-      Advance();
-      return ParseUnary(depth + 1);
+    return expr;
+  }
+
+  // Folds negation into numeric literals so "-0.99999" is one literal.
+  __attribute__((noinline)) static ExprPtr Negate(ExprPtr operand) {
+    if (operand->kind == ExprKind::kLiteral && operand->literal.is_numeric()) {
+      const Value& v = operand->literal;
+      switch (v.kind()) {
+        case TypeKind::kInt:
+          return MakeLiteral(Value::Int(-v.int_value()));
+        case TypeKind::kDouble:
+          return MakeLiteral(Value::DoubleVal(-v.double_value()));
+        case TypeKind::kDecimal:
+          return MakeLiteral(Value::Dec(v.decimal_value().Negated()));
+        default:
+          break;
+      }
     }
-    return ParsePostfix(depth);
+    return MakeUnaryOp("-", std::move(operand));
   }
 
   Result<ExprPtr> ParsePostfix(int depth) {
     SOFT_ASSIGN_OR_RETURN(ExprPtr base, ParsePrimary(depth + 1));
-    while (Peek().IsOp("::")) {
-      Advance();
-      SOFT_ASSIGN_OR_RETURN(std::string type_text, ParseTypeText());
-      const std::optional<TypeKind> kind = ParseTypeName(type_text);
-      if (!kind.has_value()) {
-        return ParseError("unknown cast type '" + type_text + "'");
-      }
-      base = MakeCast(std::move(base), *kind, std::move(type_text));
+    while (ConsumeOp("::")) {
+      SOFT_ASSIGN_OR_RETURN(base, ParseCastType(std::move(base)));
     }
     return base;
   }
 
+  // Every nesting construct recurses through here, so this frame holds only
+  // what a nesting level needs: the parenthesized branch and the list and
+  // cast forms. Leaf tokens and the cast body are parsed out of line —
+  // inlined, their locals made each nesting level cost about 20 KB of stack
+  // under AddressSanitizer.
   Result<ExprPtr> ParsePrimary(int depth) {
     if (depth_used_ + depth > kMaxParseDepth) {
       return ResourceExhausted("expression nesting too deep for parser");
     }
     const Token& t = Peek();
+    if (t.IsOp("(")) {
+      Advance();
+      if (Peek().IsKeyword("SELECT")) {
+        SOFT_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sub, ParseSelect());
+        SOFT_RETURN_IF_ERROR(ExpectOp(")"));
+        return MakeSubquery(std::move(sub));
+      }
+      SOFT_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr(depth + 1));
+      SOFT_RETURN_IF_ERROR(ExpectOp(")"));
+      return inner;
+    }
+    if (t.kind != TokenKind::kIdent || t.IsKeyword("NULL") || t.IsKeyword("TRUE") ||
+        t.IsKeyword("FALSE")) {
+      return ParseLeaf();
+    }
+    if (t.IsKeyword("CAST") && Peek(1).IsOp("(")) {
+      return ParseCast(depth);
+    }
+    if (t.IsKeyword("ROW") && Peek(1).IsOp("(")) {
+      Advance();
+      Advance();
+      SOFT_ASSIGN_OR_RETURN(std::vector<ExprPtr> fields, ParseExprList(depth, ")"));
+      return MakeRowCtor(std::move(fields));
+    }
+    if (t.IsKeyword("ARRAY") && Peek(1).IsOp("[")) {
+      Advance();
+      Advance();
+      SOFT_ASSIGN_OR_RETURN(std::vector<ExprPtr> elements, ParseExprList(depth, "]"));
+      return MakeArrayCtor(std::move(elements));
+    }
+    if (Peek(1).IsOp("(")) {
+      const std::string name = Advance().text;
+      Advance();  // '('
+      const bool distinct = ConsumeKeyword("DISTINCT");
+      SOFT_ASSIGN_OR_RETURN(std::vector<ExprPtr> args, ParseExprList(depth, ")"));
+      return MakeFunctionCall(name, std::move(args), distinct);
+    }
+    return ParseLeaf();
+  }
 
+  // `expr, expr, ...` up to and including `close`; the list may be empty.
+  __attribute__((noinline)) Result<std::vector<ExprPtr>> ParseExprList(int depth,
+                                                                      std::string_view close) {
+    std::vector<ExprPtr> items;
+    if (!Peek().IsOp(close)) {
+      do {
+        SOFT_ASSIGN_OR_RETURN(ExprPtr item, ParseExpr(depth + 1));
+        items.push_back(std::move(item));
+      } while (ConsumeOp(","));
+    }
+    SOFT_RETURN_IF_ERROR(ExpectOp(close));
+    return items;
+  }
+
+  // CAST ( expr AS type )
+  __attribute__((noinline)) Result<ExprPtr> ParseCast(int depth) {
+    Advance();
+    Advance();
+    SOFT_ASSIGN_OR_RETURN(ExprPtr operand, ParseExpr(depth + 1));
+    SOFT_RETURN_IF_ERROR(ExpectKeyword("AS"));
+    SOFT_ASSIGN_OR_RETURN(ExprPtr cast, ParseCastType(std::move(operand)));
+    SOFT_RETURN_IF_ERROR(ExpectOp(")"));
+    return cast;
+  }
+
+  // The target type of CAST(x AS type) or x::type, applied to `operand`.
+  __attribute__((noinline)) Result<ExprPtr> ParseCastType(ExprPtr operand) {
+    SOFT_ASSIGN_OR_RETURN(std::string type_text, ParseTypeText());
+    const std::optional<TypeKind> kind = ParseTypeName(type_text);
+    if (!kind.has_value()) {
+      return ParseError("unknown cast type '" + type_text + "'");
+    }
+    return MakeCast(std::move(operand), *kind, std::move(type_text));
+  }
+
+  // A primary that nests nothing: a literal, a DATE/TIMESTAMP literal, or a
+  // (possibly qualified) column reference.
+  __attribute__((noinline)) Result<ExprPtr> ParseLeaf() {
+    const Token& t = Peek();
     if (t.kind == TokenKind::kNumber) {
       Advance();
       return NumberLiteral(t.text);
@@ -577,119 +653,41 @@ class Parser {
       Advance();
       return MakeLiteral(Value::Star());
     }
-    if (t.IsOp("(")) {
+    if (t.kind != TokenKind::kIdent) {
+      return ParseError("unexpected token '" + t.text + "' in expression");
+    }
+    if (t.IsKeyword("NULL")) {
       Advance();
-      if (Peek().IsKeyword("SELECT")) {
-        SOFT_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> sub, ParseSelect());
-        SOFT_RETURN_IF_ERROR(ExpectOp(")"));
-        return MakeSubquery(std::move(sub));
-      }
-      SOFT_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr(depth + 1));
-      SOFT_RETURN_IF_ERROR(ExpectOp(")"));
-      return inner;
+      return MakeLiteral(Value::Null());
     }
-    if (t.kind == TokenKind::kIdent) {
-      // Keyword-ish literals and constructors.
-      if (t.IsKeyword("NULL")) {
-        Advance();
-        return MakeLiteral(Value::Null());
-      }
-      if (t.IsKeyword("TRUE")) {
-        Advance();
-        return MakeLiteral(Value::Boolean(true));
-      }
-      if (t.IsKeyword("FALSE")) {
-        Advance();
-        return MakeLiteral(Value::Boolean(false));
-      }
-      if (t.IsKeyword("DATE") && Peek(1).kind == TokenKind::kString) {
-        Advance();
-        const std::string text = Advance().text;
-        SOFT_ASSIGN_OR_RETURN(Date d, ParseDate(text));
-        return MakeLiteral(Value::DateVal(d));
-      }
-      if ((t.IsKeyword("TIMESTAMP") || t.IsKeyword("DATETIME")) &&
-          Peek(1).kind == TokenKind::kString) {
-        Advance();
-        const std::string text = Advance().text;
-        SOFT_ASSIGN_OR_RETURN(DateTime dt, ParseDateTime(text));
-        return MakeLiteral(Value::DateTimeVal(dt));
-      }
-      if (t.IsKeyword("CAST") && Peek(1).IsOp("(")) {
-        Advance();
-        Advance();
-        SOFT_ASSIGN_OR_RETURN(ExprPtr operand, ParseExpr(depth + 1));
-        SOFT_RETURN_IF_ERROR(ExpectKeyword("AS"));
-        SOFT_ASSIGN_OR_RETURN(std::string type_text, ParseTypeText());
-        const std::optional<TypeKind> kind = ParseTypeName(type_text);
-        if (!kind.has_value()) {
-          return ParseError("unknown cast type '" + type_text + "'");
-        }
-        SOFT_RETURN_IF_ERROR(ExpectOp(")"));
-        return MakeCast(std::move(operand), *kind, std::move(type_text));
-      }
-      if (t.IsKeyword("ROW") && Peek(1).IsOp("(")) {
-        Advance();
-        Advance();
-        std::vector<ExprPtr> fields;
-        if (!Peek().IsOp(")")) {
-          for (;;) {
-            SOFT_ASSIGN_OR_RETURN(ExprPtr f, ParseExpr(depth + 1));
-            fields.push_back(std::move(f));
-            if (!ConsumeOp(",")) {
-              break;
-            }
-          }
-        }
-        SOFT_RETURN_IF_ERROR(ExpectOp(")"));
-        return MakeRowCtor(std::move(fields));
-      }
-      if (t.IsKeyword("ARRAY") && Peek(1).IsOp("[")) {
-        Advance();
-        Advance();
-        std::vector<ExprPtr> elements;
-        if (!Peek().IsOp("]")) {
-          for (;;) {
-            SOFT_ASSIGN_OR_RETURN(ExprPtr el, ParseExpr(depth + 1));
-            elements.push_back(std::move(el));
-            if (!ConsumeOp(",")) {
-              break;
-            }
-          }
-        }
-        SOFT_RETURN_IF_ERROR(ExpectOp("]"));
-        return MakeArrayCtor(std::move(elements));
-      }
-      // Function call?
-      if (Peek(1).IsOp("(")) {
-        const std::string name = Advance().text;
-        Advance();  // '('
-        bool distinct = false;
-        std::vector<ExprPtr> args;
-        if (ConsumeKeyword("DISTINCT")) {
-          distinct = true;
-        }
-        if (!Peek().IsOp(")")) {
-          for (;;) {
-            SOFT_ASSIGN_OR_RETURN(ExprPtr a, ParseExpr(depth + 1));
-            args.push_back(std::move(a));
-            if (!ConsumeOp(",")) {
-              break;
-            }
-          }
-        }
-        SOFT_RETURN_IF_ERROR(ExpectOp(")"));
-        return MakeFunctionCall(name, std::move(args), distinct);
-      }
-      // Bare column reference (qualified names collapse to the last part).
-      std::string name = Advance().text;
-      while (Peek().IsOp(".") && Peek(1).kind == TokenKind::kIdent) {
-        Advance();
-        name = Advance().text;
-      }
-      return MakeColumnRef(std::move(name));
+    if (t.IsKeyword("TRUE")) {
+      Advance();
+      return MakeLiteral(Value::Boolean(true));
     }
-    return ParseError("unexpected token '" + t.text + "' in expression");
+    if (t.IsKeyword("FALSE")) {
+      Advance();
+      return MakeLiteral(Value::Boolean(false));
+    }
+    if (t.IsKeyword("DATE") && Peek(1).kind == TokenKind::kString) {
+      Advance();
+      const std::string text = Advance().text;
+      SOFT_ASSIGN_OR_RETURN(Date d, ParseDate(text));
+      return MakeLiteral(Value::DateVal(d));
+    }
+    if ((t.IsKeyword("TIMESTAMP") || t.IsKeyword("DATETIME")) &&
+        Peek(1).kind == TokenKind::kString) {
+      Advance();
+      const std::string text = Advance().text;
+      SOFT_ASSIGN_OR_RETURN(DateTime dt, ParseDateTime(text));
+      return MakeLiteral(Value::DateTimeVal(dt));
+    }
+    // Bare column reference (qualified names collapse to the last part).
+    std::string name = Advance().text;
+    while (Peek().IsOp(".") && Peek(1).kind == TokenKind::kIdent) {
+      Advance();
+      name = Advance().text;
+    }
+    return MakeColumnRef(std::move(name));
   }
 
   // Classifies numeric literal text: plain small integer → INT, exact decimal

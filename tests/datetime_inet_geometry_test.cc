@@ -1,6 +1,8 @@
 // Date, inet, and geometry substrate tests.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/sqlvalue/datetime.h"
 #include "src/sqlvalue/geometry.h"
 #include "src/sqlvalue/inet.h"
@@ -66,6 +68,28 @@ TEST(DateArithmetic, AddMonthsClampsEndOfMonth) {
   EXPECT_EQ(d->day, 29);  // clamped to Feb 29
   EXPECT_EQ(AddMonths(Date{2024, 1, 31}, -1)->day, 31);
   EXPECT_FALSE(AddMonths(Date{9999, 12, 1}, 1).ok());
+}
+
+TEST(DateArithmetic, RangeEndsAndInt64Extremes) {
+  EXPECT_EQ(DateToDayNumber(Date{0, 1, 1}), -719528);
+  EXPECT_EQ(DateToDayNumber(Date{9999, 12, 31}), 2932896);
+  EXPECT_EQ(*DayNumberToDate(-719528), (Date{0, 1, 1}));
+  EXPECT_EQ(*DayNumberToDate(2932896), (Date{9999, 12, 31}));
+  EXPECT_FALSE(DayNumberToDate(-719529).ok());
+  EXPECT_FALSE(DayNumberToDate(2932897).ok());
+  EXPECT_FALSE(DayNumberToDate(std::numeric_limits<int64_t>::max()).ok());
+  EXPECT_FALSE(DayNumberToDate(std::numeric_limits<int64_t>::min()).ok());
+  // DATE_ADD('1969-12-31', INT64_MAX days): the day number is INT64_MAX - 1.
+  EXPECT_FALSE(AddDays(Date{1969, 12, 31}, std::numeric_limits<int64_t>::max()).ok());
+  EXPECT_FALSE(AddDays(Date{9999, 12, 31}, std::numeric_limits<int64_t>::max()).ok());
+  EXPECT_FALSE(AddDays(Date{0, 1, 1}, std::numeric_limits<int64_t>::min()).ok());
+  // A year-0 date plus INT64_MIN months.
+  EXPECT_FALSE(AddMonths(Date{0, 1, 1}, std::numeric_limits<int64_t>::min()).ok());
+  EXPECT_FALSE(AddMonths(Date{0, 1, 1}, std::numeric_limits<int64_t>::min() + 5).ok());
+  EXPECT_FALSE(AddMonths(Date{9999, 12, 1}, std::numeric_limits<int64_t>::max()).ok());
+  EXPECT_EQ(*AddMonths(Date{0, 1, 1}, 9999 * 12 + 11), (Date{9999, 12, 1}));
+  EXPECT_EQ(*AddMonths(Date{9999, 12, 31}, -(9999 * 12 + 11)), (Date{0, 1, 31}));
+  EXPECT_FALSE(AddMonths(Date{0, 1, 1}, -1).ok());
 }
 
 TEST(DateWeekday, KnownAnchors) {

@@ -66,6 +66,14 @@ TEST(ParserExpr, Precedence) {
             "((1 = 2) OR ((3 < 4) AND (5 > 6)))");
 }
 
+TEST(ParserExpr, PrefixOperatorRuns) {
+  // Signs apply innermost first and fold into numeric literals.
+  EXPECT_EQ(Expr_("- + - 7")->literal.int_value(), 7);
+  EXPECT_EQ(Expr_("- - - 7")->literal.int_value(), -7);
+  EXPECT_EQ(Expr_("- - a")->ToSql(), "(-(-a))");
+  EXPECT_EQ(Expr_("NOT NOT 1 = 2")->ToSql(), "(NOT (NOT (1 = 2)))");
+}
+
 TEST(ParserExpr, CastForms) {
   const ExprPtr c1 = Expr_("CAST('12' AS INT)");
   EXPECT_EQ(c1->kind, ExprKind::kCast);
@@ -251,6 +259,38 @@ TEST(ParserDepth, ModerateSubqueryNestingStillParses) {
     ok += ")";
   }
   EXPECT_TRUE(ParseStatement(ok).ok());
+}
+
+TEST(ParserDepth, LongPrefixOperatorRunsErrorCleanly) {
+  // Runs of NOTs and signs are parsed in a loop, so even 100 000 of them
+  // cost no stack; each one still counts against the nesting budget.
+  for (const char* op : {"- ", "+ ", "NOT "}) {
+    std::string deep = "SELECT ";
+    for (int i = 0; i < 100000; ++i) {
+      deep += op;
+    }
+    deep += "1";
+    const Result<Statement> r = ParseStatement(deep);
+    ASSERT_FALSE(r.ok()) << op;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+        << op << r.status().ToString();
+  }
+}
+
+TEST(ParserDepth, DeepCallNestingErrorsCleanly) {
+  // Function calls, casts and constructors recurse through the same budget
+  // as parenthesized expressions.
+  for (const char* open : {"ABS(", "CAST(", "ROW(", "ARRAY["}) {
+    std::string deep = "SELECT ";
+    for (int i = 0; i < 5000; ++i) {
+      deep += open;
+    }
+    deep += "1";
+    const Result<Statement> r = ParseStatement(deep);
+    ASSERT_FALSE(r.ok()) << open;
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+        << open << r.status().ToString();
+  }
 }
 
 TEST(ParserDepth, LongUnionChainErrorsCleanly) {
