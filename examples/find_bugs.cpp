@@ -4,8 +4,8 @@
 //
 //   $ ./examples/find_bugs [dialect] [budget] [flags]
 //   $ ./examples/find_bugs virtuoso 100000
-//   $ ./examples/find_bugs duckdb 50000 --crash-mode=real --timeout-ms=200 \
-//         --telemetry=journal.ndjson
+//   $ ./examples/find_bugs duckdb 50000 --crash-mode=real --timeout-ms=200
+//   $ ./examples/find_bugs duckdb 50000 --telemetry=journal.ndjson
 //   $ ./examples/find_bugs --resume=journal.ndjson
 //
 // Flags:
@@ -24,15 +24,10 @@
 //                             --chaos='io.write=error,eval.enter=after:500'
 //                             (docs/ROBUSTNESS.md lists modes and sites)
 //   --chaos=list              print the failpoint site inventory and exit
-//   --chaos=enumerate         run the chaos smoke oracle once per failpoint
-//                             (non-zero exit when any site's oracle fails)
-//   --chaos=fleet             run the fleet chaos oracle: each fleet.* site
-//                             armed once during a real socket campaign, the
-//                             merged digest must stay bit-identical
-//   --chaos=net               run the partition-tolerance chaos oracle: each
-//                             net.* frame/connection fault armed once during
-//                             a real framed-socket campaign, the merged
-//                             digest must stay bit-identical
+//   --chaos=enumerate         run the chaos oracle once per failpoint site,
+//                             fleet.* and net.* sites in real socket
+//                             campaigns (default virtuoso, budget 600;
+//                             exit 2 when any site's oracle fails)
 //   --fleet=serve             run the campaign as a fleet coordinator: fork
 //                             --workers=<n> worker processes, lease
 //                             --units=<k> case-partition work units over
@@ -123,7 +118,7 @@ void PrintUsage(const char* argv0) {
                "usage: %s [dialect] [budget] [--telemetry=<path>]\n"
                "          [--checkpoint-every=<n>] [--timeout-ms=<n>]\n"
                "          [--crash-mode=sim|real] [--resume=<journal>]\n"
-               "          [--chaos=<spec>|list|enumerate|fleet] [--shards=<k>]\n"
+               "          [--chaos=<spec>|list|enumerate] [--shards=<k>]\n"
                "          [--trace=<path>] [--trace-sample=<n>]\n"
                "          [--oracle=eet|diff|norec|tlp|all[,...]]\n"
                "          [--fleet=serve|attach|status] [--socket=<path>]\n"
@@ -151,8 +146,7 @@ int PrintFailpointInventory() {
 int RunChaosEnumerate(const std::string& dialect, int budget) {
   std::printf("=== chaos enumeration: %s, budget %d per smoke campaign ===\n\n",
               dialect.c_str(), budget);
-  const soft::ChaosReport report =
-      soft::RunChaosEnumeration(dialect, budget, /*include_worker_sites=*/true);
+  const soft::ChaosReport report = soft::RunChaosEnumeration(dialect, budget);
   if (!report.compiled_in) {
     std::printf("failpoints compiled out; nothing to inject\n");
     return 0;
@@ -163,27 +157,6 @@ int RunChaosEnumerate(const std::string& dialect, int budget) {
                 outcome.detail.c_str());
   }
   std::printf("\n%zu sites, %s\n", report.outcomes.size(),
-              report.ok() ? "all oracles held" : "ORACLE FAILURES above");
-  return report.ok() ? 0 : 2;
-}
-
-int RunFleetChaos(const std::string& dialect, int budget, bool net) {
-  std::printf("=== %s chaos enumeration: %s, budget %d per socket campaign ===\n\n",
-              net ? "net" : "fleet", dialect.c_str(), budget);
-  const soft::ChaosReport report =
-      net ? soft::fleet::RunNetChaosEnumeration(dialect, budget)
-          : soft::fleet::RunFleetChaosEnumeration(dialect, budget);
-  if (!report.compiled_in) {
-    std::printf("failpoints compiled out; nothing to inject\n");
-    return 0;
-  }
-  for (const soft::ChaosSiteOutcome& outcome : report.outcomes) {
-    std::printf("[%s] %-28s %-8s %s\n", outcome.ok ? "ok" : "FAIL",
-                outcome.failpoint.c_str(), outcome.site_class.c_str(),
-                outcome.detail.c_str());
-  }
-  std::printf("\n%zu %s sites, %s\n", report.outcomes.size(),
-              net ? "net" : "fleet",
               report.ok() ? "all oracles held" : "ORACLE FAILURES above");
   return report.ok() ? 0 : 2;
 }
@@ -417,11 +390,6 @@ int main(int argc, char** argv) {
     const int budget = positional.size() > 1 ? std::atoi(positional[1]) : 0;
     return RunChaosEnumerate(dialect, budget > 0 ? budget : 600);
   }
-  if (chaos_spec == "fleet" || chaos_spec == "net") {
-    const std::string dialect = !positional.empty() ? positional[0] : "virtuoso";
-    const int budget = positional.size() > 1 ? std::atoi(positional[1]) : 0;
-    return RunFleetChaos(dialect, budget > 0 ? budget : 400, chaos_spec == "net");
-  }
   if (!chaos_spec.empty()) {
     const soft::Status armed = soft::failpoint::ArmFromSpec(chaos_spec);
     if (!armed.ok()) {
@@ -534,8 +502,7 @@ int main(int argc, char** argv) {
     fopts.metrics_every_ms = metrics_every_ms;
     fopts.doctor_stall_leases = doctor_stall_leases;
     if (fopts.resume) {
-      const soft::Result<soft::fleet::FleetResumeSpec> spec =
-          soft::fleet::LoadFleetResumeSpec(resume_path);
+      const soft::Result<soft::ResumeSpec> spec = soft::LoadResumeSpec(resume_path);
       if (!spec.ok()) {
         std::fprintf(stderr, "cannot resume fleet campaign: %s\n",
                      spec.status().message().c_str());
@@ -544,13 +511,13 @@ int main(int argc, char** argv) {
       dialect = spec->dialect;
       options.seed = spec->seed;
       options.max_statements = spec->budget;
-      fopts.units = spec->units;
+      fopts.units = spec->shards;
       std::printf("=== SOFT fleet campaign (resuming %s) ===\n", resume_path.c_str());
       std::printf("target:  %s, budget %d, seed %llu, %zu of %d units already "
                   "journaled complete\n\n",
                   dialect.c_str(), spec->budget,
                   static_cast<unsigned long long>(spec->seed),
-                  spec->completed.size(), spec->units);
+                  spec->completed.size(), spec->shards);
     } else {
       dialect = !positional.empty() ? positional[0] : "virtuoso";
       const int budget = positional.size() > 1 ? std::atoi(positional[1]) : 150000;
@@ -776,7 +743,7 @@ int main(int argc, char** argv) {
   std::printf("outcome digest: 0x%016llx\n",
               static_cast<unsigned long long>(soft::DigestCampaignResult(result)));
   // Bug-inventory digest: invariant across serial, --shards=k, and fleet
-  // forms of the same campaign — the parity line the asan-fleet lane greps.
+  // forms of the same campaign — the parity line the asan CI job greps.
   std::printf("bug digest: 0x%016llx\n",
               static_cast<unsigned long long>(soft::DigestBugInventory(result)));
   if (!oracle_names.empty()) {

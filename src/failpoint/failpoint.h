@@ -108,8 +108,7 @@ enum class SiteClass {
   // fault is a lost/corrupted/duplicated/torn frame or a dead connection.
   // Oracle: the frame CRC + sequence validation and the fleet's
   // session-resume ladder absorb it — the merged campaign digest stays
-  // bit-identical to the uninjected sharded reference
-  // (soft::fleet::RunNetChaosEnumeration, find_bugs --chaos=net).
+  // bit-identical to the uninjected sharded reference.
   kNet,
 };
 
@@ -135,7 +134,7 @@ struct SiteInfo {
   std::string_view where;  // instrumented location (docs/ROBUSTNESS.md table)
 };
 
-// Central inventory of every instrumented site. ChaosEnumerator iterates
+// Central inventory of every instrumented site. RunChaosEnumeration iterates
 // this table; Arm/ArmFromSpec reject names that are not in it, so the table
 // cannot silently drift from the instrumentation (tests/failpoint_test.cc
 // cross-checks the macro call sites against it).
@@ -166,10 +165,8 @@ inline constexpr std::array<SiteInfo, 33> kInventory = {{
     {"worker.pipe_read", SiteClass::kIoRetry, "supervisor pipe read (src/soft/worker.cc)"},
     // Fleet sites are kIoRetry: the coordinator absorbs each fault through
     // reconnect / lease-reclaim / work-stealing, and the merged campaign
-    // stays bit-identical. Their oracles live in the fleet's own enumerator
-    // (soft::fleet::RunFleetChaosEnumeration) because the core chaos library
-    // cannot depend on the fleet library; RunChaosEnumeration reports them
-    // as delegated.
+    // stays bit-identical. RunChaosEnumeration checks them, like the net.*
+    // sites, inside a real socket fleet campaign.
     {"fleet.accept", SiteClass::kIoRetry, "coordinator accept (src/fleet/coordinator.cc)"},
     {"fleet.lease_grant", SiteClass::kIoRetry, "lease GRANT send (src/fleet/coordinator.cc)"},
     {"fleet.heartbeat_rx", SiteClass::kIoRetry, "heartbeat receive (src/fleet/coordinator.cc)"},
@@ -177,8 +174,7 @@ inline constexpr std::array<SiteInfo, 33> kInventory = {{
     {"fleet.worker_spawn", SiteClass::kIoRetry, "worker spawn (src/fleet/coordinator.cc)"},
     // net.* sites instrument the fleet's framed transport. The five send-side
     // sites live in wire::FramedWriter::WriteLine; accept_storm in the
-    // coordinator's accept path. Like fleet.*, their oracles are delegated
-    // to soft::fleet::RunNetChaosEnumeration (find_bugs --chaos=net).
+    // coordinator's accept path.
     {"net.frame_drop", SiteClass::kNet, "framed send: frame lost in transit (src/soft/wire.cc)"},
     {"net.frame_corrupt", SiteClass::kNet, "framed send: bit flip after checksum (src/soft/wire.cc)"},
     {"net.frame_dup", SiteClass::kNet, "framed send: frame delivered twice (src/soft/wire.cc)"},

@@ -28,7 +28,9 @@
 #include "src/fleet/doctor.h"
 #include "src/fleet/lease.h"
 #include "src/fleet/worker_client.h"
+#include "src/soft/chaos.h"
 #include "src/soft/parallel_runner.h"
+#include "src/soft/resume.h"
 #include "src/soft/soft_fuzzer.h"
 #include "src/soft/wire.h"
 #include "src/telemetry/journal.h"
@@ -1070,14 +1072,14 @@ class Coordinator {
 
   // --- resume ---------------------------------------------------------------
   Status AdmitSpooledUnits() {
-    SOFT_ASSIGN_OR_RETURN(FleetResumeSpec spec,
-                          LoadFleetResumeSpec(fleet_.journal_path));
-    if (spec.dialect != dialect_ || spec.seed != options_.seed ||
-        spec.budget != options_.max_statements || spec.units != units_) {
+    SOFT_ASSIGN_OR_RETURN(ResumeSpec spec, LoadResumeSpec(fleet_.journal_path));
+    if (spec.tool != "SOFT" || spec.dialect != dialect_ ||
+        spec.seed != options_.seed || spec.budget != options_.max_statements ||
+        spec.shards != units_) {
       return InvalidArgument(
-          "fleet resume rejected: journal campaign (" + spec.dialect + ", seed " +
-          std::to_string(spec.seed) + ", budget " + std::to_string(spec.budget) +
-          ", units " + std::to_string(spec.units) +
+          "fleet resume rejected: journal campaign (" + spec.tool + ", " +
+          spec.dialect + ", seed " + std::to_string(spec.seed) + ", budget " +
+          std::to_string(spec.budget) + ", units " + std::to_string(spec.shards) +
           ") does not match this invocation");
     }
     for (const auto& [unit, digest] : spec.completed) {
@@ -1531,27 +1533,6 @@ Result<FleetOutcome> RunFleetCampaign(const std::string& dialect,
   return coordinator.Run();
 }
 
-Result<FleetResumeSpec> LoadFleetResumeSpec(const std::string& journal_path) {
-  SOFT_ASSIGN_OR_RETURN(telemetry::JournalReplay replay,
-                        telemetry::ReplayJournalFile(journal_path));
-  if (replay.tool != "SOFT") {
-    return InvalidArgument("fleet resume only replays SOFT journals (journal tool: '" +
-                           replay.tool + "')");
-  }
-  FleetResumeSpec spec;
-  spec.dialect = replay.dialect;
-  spec.seed = replay.seed;
-  spec.budget = replay.budget;
-  spec.units = replay.shards;
-  spec.finished = replay.finished;
-  for (const telemetry::JournalLeaseEvent& event : replay.lease_events) {
-    if (event.action == "complete" || event.action == "resume") {
-      spec.completed[event.unit] = event.unit_digest;
-    }
-  }
-  return spec;
-}
-
 Status StreamFleetStatus(const FleetStatusRequest& request,
                          const std::function<bool(const std::string&)>& on_line) {
   io::IgnoreSigpipe();
@@ -1628,98 +1609,6 @@ Result<std::string> QueryFleetStatus(const std::string& socket_path) {
         return true;
       }));
   return payload;
-}
-
-namespace {
-
-ChaosReport RunSocketChaosEnumeration(const std::string& dialect, int budget,
-                                      const std::string& prefix,
-                                      const std::string& tag,
-                                      int heartbeat_timeout_ms) {
-  ChaosReport report;
-  report.compiled_in = failpoint::kCompiledIn;
-  report.dialect = dialect;
-  report.budget = budget > 0 ? budget : 400;
-  if (!report.compiled_in) {
-    return report;
-  }
-  CampaignOptions options;
-  options.seed = 20260807;
-  options.max_statements = report.budget;
-  const int units = 4;
-  failpoint::DisarmAll();
-  const CampaignResult reference = RunShardedSoftCampaign(dialect, options, units);
-  const uint64_t reference_digest = DigestCampaignResult(reference);
-
-  int site_index = 0;
-  for (const failpoint::SiteInfo& site : failpoint::kInventory) {
-    if (std::string_view(site.name).rfind(prefix, 0) != 0) {
-      continue;
-    }
-    ChaosSiteOutcome outcome;
-    outcome.failpoint = std::string(site.name);
-    outcome.site_class = std::string(failpoint::SiteClassName(site.site_class));
-    outcome.spec = outcome.failpoint + "=after:0:1";
-    outcome.ran = true;
-
-    FleetOptions fleet;
-    fleet.socket_path = "/tmp/soft_" + tag + "_" +
-                        std::to_string(static_cast<long>(::getpid())) + "_" +
-                        std::to_string(site_index++) + ".sock";
-    fleet.workers = 2;
-    fleet.units = units;
-    fleet.heartbeat_every = 50;
-    fleet.lease_deadline_ms = 2000;
-    fleet.heartbeat_timeout_ms = heartbeat_timeout_ms;
-
-    failpoint::DisarmAll();
-    if (Status armed = failpoint::ArmFromSpec(outcome.spec); !armed.ok()) {
-      outcome.detail = "arm failed: " + armed.ToString();
-      report.outcomes.push_back(outcome);
-      continue;
-    }
-    const Result<FleetOutcome> injected = RunFleetCampaign(dialect, options, fleet);
-    failpoint::DisarmAll();
-    if (!injected.ok()) {
-      outcome.detail = "fleet campaign failed: " + injected.status().ToString();
-      report.outcomes.push_back(outcome);
-      continue;
-    }
-    if (DigestCampaignResult(injected->result) != reference_digest) {
-      outcome.detail = "merged digest diverged from the uninjected sharded reference";
-      report.outcomes.push_back(outcome);
-      continue;
-    }
-    if (outcome.failpoint == "fleet.worker_spawn" &&
-        injected->stats.worker_deaths == 0) {
-      outcome.detail = "chaos-killed worker never died (injection lost?)";
-      report.outcomes.push_back(outcome);
-      continue;
-    }
-    outcome.ok = true;
-    outcome.detail =
-        "fault absorbed; digest bit-identical (" +
-        std::to_string(injected->stats.worker_deaths) + " worker death(s), " +
-        std::to_string(injected->stats.leases_reclaimed) + " lease(s) reclaimed, " +
-        std::to_string(injected->stats.conns_dropped) + " conn(s) dropped, " +
-        std::to_string(injected->stats.sessions_resumed) + " session(s) resumed, " +
-        std::to_string(injected->stats.dup_results_deduped) + " dup result(s) deduped)";
-    report.outcomes.push_back(outcome);
-  }
-  failpoint::DisarmAll();
-  return report;
-}
-
-}  // namespace
-
-ChaosReport RunFleetChaosEnumeration(const std::string& dialect, int budget) {
-  return RunSocketChaosEnumeration(dialect, budget, "fleet.", "flc",
-                                   /*heartbeat_timeout_ms=*/5000);
-}
-
-ChaosReport RunNetChaosEnumeration(const std::string& dialect, int budget) {
-  return RunSocketChaosEnumeration(dialect, budget, "net.", "nlc",
-                                   /*heartbeat_timeout_ms=*/1000);
 }
 
 }  // namespace fleet

@@ -56,12 +56,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 
 #include "src/fleet/transport.h"
 #include "src/soft/campaign.h"
-#include "src/soft/chaos.h"
 #include "src/util/status.h"
 
 namespace soft {
@@ -207,39 +205,6 @@ struct FleetOutcome {
 Result<FleetOutcome> RunFleetCampaign(const std::string& dialect,
                                       const CampaignOptions& options,
                                       const FleetOptions& fleet);
-
-// What a fleet --resume needs from the interrupted coordinator's journal.
-struct FleetResumeSpec {
-  std::string dialect;
-  uint64_t seed = 0;
-  int budget = 0;
-  int units = 0;
-  bool finished = false;
-  // unit → journaled unit-result digest, from lease complete/resume events
-  // (last record wins). Only spooled results matching these digests are
-  // re-admitted.
-  std::map<int, uint64_t> completed;
-};
-
-// Parses a fleet journal into a resume spec. Unlike LoadResumeSpec this
-// accepts multi-shard (units > 1) journals — fleet units checkpoint into
-// the spool, not the journal's checkpoint stream.
-Result<FleetResumeSpec> LoadFleetResumeSpec(const std::string& journal_path);
-
-// Chaos oracle for the five fleet.* failpoint sites (delegated to here by
-// soft::RunChaosEnumeration — soft_core cannot link this library). Each site
-// is armed to fire once during a small real socket campaign; the oracle is
-// that the injected fault is absorbed by the lease/steal/respawn ladder and
-// the merged digest stays bit-identical to the uninjected `--shards=units`
-// reference. Exposed as `find_bugs --chaos=fleet`.
-ChaosReport RunFleetChaosEnumeration(const std::string& dialect, int budget);
-
-// Partition-tolerance chaos oracle for the six net.* failpoint sites: each
-// is armed to fire once during a real framed-socket campaign; the oracle is
-// that the frame CRC/sequence validation plus the session-resume ladder
-// absorb the fault and the merged digest stays bit-identical to the
-// uninjected sharded reference. Exposed as `find_bugs --chaos=net`.
-ChaosReport RunNetChaosEnumeration(const std::string& dialect, int budget);
 
 // Status client: connects to a serving coordinator, sends STATUS, and
 // returns the NDJSON payload (one event per line). Fails when nothing is

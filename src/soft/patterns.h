@@ -28,6 +28,8 @@ namespace soft {
 struct GeneratedCase {
   std::string sql;      // full statement ("SELECT ...")
   std::string pattern;  // "P1.2" ... "P3.3"
+
+  bool operator==(const GeneratedCase&) const = default;
 };
 
 struct PatternOptions {

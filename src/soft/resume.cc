@@ -8,10 +8,6 @@ namespace soft {
 Result<ResumeSpec> LoadResumeSpec(const std::string& journal_path) {
   SOFT_ASSIGN_OR_RETURN(telemetry::JournalReplay replay,
                         telemetry::ReplayJournalFile(journal_path));
-  if (replay.shards != 1) {
-    return InvalidArgument("--resume supports single-shard journals only (journal has " +
-                           std::to_string(replay.shards) + " shards)");
-  }
   ResumeSpec spec;
   spec.tool = replay.tool;
   spec.dialect = replay.dialect;
@@ -22,6 +18,11 @@ Result<ResumeSpec> LoadResumeSpec(const std::string& journal_path) {
   if (!replay.checkpoints.empty()) {
     spec.has_checkpoint = true;
     spec.last_checkpoint = replay.checkpoints.back();
+  }
+  for (const telemetry::JournalLeaseEvent& event : replay.lease_events) {
+    if (event.action == "complete" || event.action == "resume") {
+      spec.completed[event.unit] = event.unit_digest;
+    }
   }
   return spec;
 }
@@ -34,7 +35,8 @@ Result<CampaignResult> ResumeSoftCampaign(const ResumeSpec& spec,
                            spec.tool + "')");
   }
   if (spec.shards != 1) {
-    return InvalidArgument("--resume supports single-shard journals only");
+    return InvalidArgument("--resume supports single-shard journals only (journal has " +
+                           std::to_string(spec.shards) + " shards)");
   }
   if (MakeDialect(spec.dialect) == nullptr) {
     return InvalidArgument("unknown dialect in journal: '" + spec.dialect + "'");

@@ -14,19 +14,23 @@
 #ifndef SRC_SOFT_RESUME_H_
 #define SRC_SOFT_RESUME_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 
 #include "src/soft/soft_fuzzer.h"
 
 namespace soft {
 
-// What a --resume=<journal> replay needs from the interrupted run.
+// What a --resume=<journal> replay needs from the interrupted run: a
+// single-shard campaign's checkpoints, or a fleet coordinator's completed
+// units.
 struct ResumeSpec {
   std::string tool;
   std::string dialect;
   uint64_t seed = 0;
   int budget = 0;
-  int shards = 1;
+  int shards = 1;  // a fleet journal's unit count
   // Whether the journal already holds a campaign_finish event (resuming a
   // finished journal is legal but pointless; callers may warn).
   bool finished = false;
@@ -34,11 +38,13 @@ struct ResumeSpec {
   // killed before its first checkpoint resumes as a plain re-run.
   bool has_checkpoint = false;
   CampaignCheckpoint last_checkpoint;
+  // unit → journaled unit-result digest, from fleet lease complete/resume
+  // events (last record wins). A fleet resume re-admits only spooled unit
+  // results matching these digests.
+  std::map<int, uint64_t> completed;
 };
 
-// Parses `journal_path` into a ResumeSpec. Fails on unparseable journals and
-// on multi-shard journals (per-shard checkpoint streams interleave; resume
-// is defined for single-shard campaigns only).
+// Parses `journal_path` into a ResumeSpec. Fails on unparseable journals.
 Result<ResumeSpec> LoadResumeSpec(const std::string& journal_path);
 
 // Re-runs the SOFT campaign described by `spec` deterministically and
@@ -47,7 +53,10 @@ Result<ResumeSpec> LoadResumeSpec(const std::string& journal_path);
 // (statement limits, crash realism, stop_when_all_bugs_found, checkpoint
 // sink — which also receives the verification checkpoints); seed, budget and
 // checkpoint cadence come from the spec. Real-crash resumes run under the
-// forked-worker harness exactly like fresh campaigns.
+// forked-worker harness exactly like fresh campaigns. Fails on multi-shard
+// journals: per-shard checkpoint streams interleave, so this replay is
+// defined for single-shard campaigns only (a fleet journal resumes through
+// its coordinator's spool instead).
 Result<CampaignResult> ResumeSoftCampaign(const ResumeSpec& spec,
                                           const CampaignOptions& base_options,
                                           const SoftOptions& soft_options = SoftOptions());

@@ -2,12 +2,12 @@
 // transport"): frame codec corruption fuzz, TCP digest parity with the
 // sharded/serial reference, protocol-version refusal, partition-and-
 // reconnect session resume with exactly-once merge, the nonblocking status
-// endpoint under a stuck reader, lease-edge timing under an injectable
-// clock, and the net.* partition-tolerance chaos oracle.
+// endpoint under a stuck reader, and lease-edge timing under an injectable
+// clock. The net.* chaos oracle runs in tests/chaos_test.cc.
 //
 // These tests fork and bind sockets — keep them out of the TSan lane
-// (`ctest -R 'Parallel|GoldenPoc|Telemetry|LogicOracle'`); the asan-fleet-net
-// CI lane runs `ctest -R 'Fleet'`.
+// (`ctest -R 'Parallel|GoldenPoc|Telemetry|LogicOracle'`); the asan CI job
+// runs `ctest -R 'Fleet'`.
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-#include "src/failpoint/failpoint.h"
 #include "src/fleet/coordinator.h"
 #include "src/fleet/lease.h"
 #include "src/fleet/transport.h"
@@ -482,25 +481,6 @@ TEST(FleetStatusNet, WatchStreamsUnitCompletionsAndTraceSlicesLive) {
   ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
   ASSERT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "status-tail child exit code";
-}
-
-// ---------------------------------------------------------------------------
-// net.* chaos oracle
-// ---------------------------------------------------------------------------
-
-TEST(FleetNetChaos, EveryNetFaultIsAbsorbedWithABitIdenticalDigest) {
-  const ChaosReport report = RunNetChaosEnumeration(kDialect, 800);
-  if (!report.compiled_in) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
-  // One outcome per net.* inventory site: frame drop, frame corrupt, frame
-  // duplicate, delayed delivery, connection reset mid-frame, accept storm.
-  ASSERT_EQ(report.outcomes.size(), 6u);
-  for (const ChaosSiteOutcome& outcome : report.outcomes) {
-    EXPECT_TRUE(outcome.ok)
-        << outcome.failpoint << ": " << outcome.detail;
-    EXPECT_EQ(outcome.site_class, "net") << outcome.failpoint;
-  }
 }
 
 }  // namespace
